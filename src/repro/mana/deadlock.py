@@ -169,10 +169,7 @@ def analyze(rt) -> DeadlockReport:
     # injected by a peer stuck in a pre-collective barrier — cannot
     # satisfy an application receive.
     def has_incoming(rank: int) -> bool:
-        for msg in rt.network.pending_messages():
-            if msg.dst == rank and msg.context_id % 2 == 0:
-                return True
-        return any(
+        return bool(rt.network.app_in_flight(dst=rank)) or any(
             m.context_id % 2 == 0
             for m in rt.lib.endpoints[rank].unexpected
         )

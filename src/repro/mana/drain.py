@@ -39,9 +39,11 @@ def _assert_app_quiesced(mrank: ManaRank) -> None:
     no *application*-context message destined to it may still be in the
     fabric (every rank is at a safe point during the drain, so nothing
     new is being sent; collective-internal traffic is out of scope).
-    The fabric's high-water mark is a simulation-side oracle the real
-    MANA does not have — we use it to catch accounting drift, not to
-    drain."""
+    ``Network.app_in_flight`` is a simulation-side oracle the real MANA
+    does not have — we use it to catch accounting drift, not to drain.
+    It costs O(messages in flight to this rank), so it runs on every
+    rank in every round; the trace event also reports the fabric's
+    lifetime high-water mark."""
     net = mrank.rt.network
     leftovers = net.app_in_flight(dst=mrank.rank)
     if leftovers:

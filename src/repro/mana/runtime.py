@@ -280,9 +280,7 @@ class ManaRuntime:
         return
 
     def _teardown_and_replace_lower_half(self) -> None:
-        app_ctx_pending = [
-            m for m in self.network.pending_messages() if m.context_id % 2 == 0
-        ]
+        app_ctx_pending = self.network.app_in_flight()
         if app_ctx_pending:
             raise RestartError(
                 f"drain invariant violated: {len(app_ctx_pending)} application "

@@ -322,16 +322,28 @@ def allgather(lib, task, comm: RealComm, me: int, data: Any, seq: int):
 # ----------------------------------------------------------------------
 
 def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
+    # hot path: helpers inlined (MANA's drain runs one of these over the
+    # whole world per checkpoint round, p(p-1) messages); round i uses
+    # tag offset i < p, so one check covers every round
     p = comm.size
     if len(data) != p:
         raise MpiError(f"alltoall needs a list of {p} items, got {len(data)}")
+    if p > TAG_STRIDE:
+        raise MpiError(f"collective round {p - 1} exceeds tag stride")
     result: List[Any] = [None] * p
     result[me] = data[me]
+    ctx = comm.coll_ctx
+    wr = comm.group.world_ranks
+    base = seq * TAG_STRIDE
+    isend = lib._isend_raw
+    irecv = lib._irecv_raw
+    wait = lib._wait
     for i in range(1, p):
         dst = (me + i) % p
         src = (me - i) % p
-        yield from _send(lib, task, comm, dst, _tag(seq, i), data[dst])
-        result[src] = yield from _recv(lib, task, comm, src, _tag(seq, i))
+        tag = base + i
+        yield from isend(task, ctx, wr[dst], tag, data[dst])
+        result[src] = yield from wait(task, irecv(task, ctx, wr[src], tag))
     return result
 
 

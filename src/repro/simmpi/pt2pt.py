@@ -66,8 +66,7 @@ class Endpoint:
         self.unexpected.append(msg)
 
     def _complete_recv(self, req: RealRequest, msg: Message) -> None:
-        status = Status(source=msg.src, tag=msg.tag, count=msg.nbytes)
-        req.complete(payload=msg.payload, status=status)
+        req.complete(msg.payload, Status(msg.src, msg.tag, msg.nbytes))
         if req.waiter is not None and self._wake is not None:
             self._wake(req.waiter)
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.des.scheduler import Scheduler
@@ -16,6 +17,8 @@ DeliveryFn = Callable[[Message], None]
 #: it through), ``("drop",)`` (it never crosses the fabric) or
 #: ``("delay", seconds)`` (extra transit time, e.g. a congested link)
 FaultFilter = Callable[[Message], Optional[tuple]]
+
+_by_msg_id = attrgetter("msg_id")
 
 
 class NetworkStats:
@@ -40,16 +43,18 @@ class NetworkStats:
         self._recorded_high = 0  # highest msg_id seen (ids are monotone)
 
     def record(self, msg: Message, intranode: bool) -> None:
-        if msg.msg_id <= self._recorded_high:
+        msg_id = msg.msg_id
+        if msg_id <= self._recorded_high:
             raise SimulationError(
                 f"{msg!r} recorded twice: per-pair accounting would drift"
             )
-        self._recorded_high = msg.msg_id
+        self._recorded_high = msg_id
+        nbytes = msg.nbytes
         self.messages += 1
-        self.bytes += msg.nbytes
+        self.bytes += nbytes
         pair = (msg.src, msg.dst)
         self.pair_messages[pair] += 1
-        self.pair_bytes[pair] += msg.nbytes
+        self.pair_bytes[pair] += nbytes
         if intranode:
             self.intranode_messages += 1
         else:
@@ -66,10 +71,19 @@ class Network:
     the same (src, dst) pair.
 
     A message is *in flight* from :meth:`inject` until the destination
-    endpoint's delivery callback runs.  :meth:`in_flight_bytes` and
-    :meth:`pending_messages` expose that state for the drain invariant
-    checks; the MANA drain itself never peeks at this (it only uses MPI
-    calls, as in the paper) — only tests and assertions do.
+    endpoint's delivery callback runs.  The in-flight index holds one
+    FIFO per (src, dst) pair that has a message in flight, grouped by
+    destination, and drops the FIFO when it empties — so the index is
+    sized by the traffic in flight, never by the pairs that ever talked.
+
+    The introspection accessors (:meth:`in_flight_count`,
+    :meth:`in_flight_bytes`, :meth:`pending_messages`,
+    :meth:`app_in_flight`) read that index.  MANA's *algorithms* never
+    move a byte with them (the drain uses only MPI calls, as in the
+    paper), but its invariant checks do call them as simulation-side
+    oracles the real MANA does not have: the post-drain quiesce check on
+    every rank in every round, the restart teardown check, and the
+    deadlock analyser.  Their costs are stated with the accessors.
     """
 
     def __init__(self, sched: Scheduler, machine: MachineSpec, nranks: int):
@@ -88,10 +102,16 @@ class Network:
         self._tracer = sched.tracer
         self._endpoints: List[Optional[DeliveryFn]] = [None] * nranks
         self._last_arrival: Dict[Tuple[int, int], float] = {}
-        self._in_flight: Dict[Tuple[int, int], List[Message]] = defaultdict(list)
+        #: in-flight index: ``_in_flight[dst][src]`` is the FIFO of
+        #: messages src has in flight to dst; a FIFO exists only while
+        #: it is non-empty
+        self._in_flight: List[Dict[int, List[Message]]] = [
+            {} for _ in range(nranks)
+        ]
         self._in_flight_total = 0
-        #: high-water mark of simultaneously in-flight messages; the
-        #: drain asserts it returns to zero at every checkpoint
+        #: high-water mark of simultaneously in-flight messages over the
+        #: life of the fabric (never decreases; the drain's quiesce trace
+        #: event reports it)
         self.in_flight_peak = 0
         self.stats = NetworkStats()
         self._sealed = False
@@ -168,17 +188,24 @@ class Network:
                     )
         pair = (src, dst)
         nbytes = msg.nbytes
-        intranode = self._node[src] == self._node[dst]
+        node = self._node
+        intranode = node[src] == node[dst]
         if intranode:
             transit = self._intra_lat + nbytes / self._intra_bw
         else:
             transit = self._net_lat + nbytes / self._net_bw
         arrival = now + transit + extra_delay
-        prev = self._last_arrival.get(pair, -1.0)
+        last_arrival = self._last_arrival
+        prev = last_arrival.get(pair, -1.0)
         if arrival <= prev:
             arrival = prev + 1e-12  # preserve per-pair FIFO with distinct times
-        self._last_arrival[pair] = arrival
-        self._in_flight[pair].append(msg)
+        last_arrival[pair] = arrival
+        queues = self._in_flight[dst]
+        queue = queues.get(src)
+        if queue is None:
+            queues[src] = [msg]
+        else:
+            queue.append(msg)
         total = self._in_flight_total + 1
         self._in_flight_total = total
         if total > self.in_flight_peak:
@@ -198,19 +225,24 @@ class Network:
             self._purged.discard(msg.msg_id)
             return
         dst = msg.dst
-        queue = self._in_flight[(msg.src, dst)]
-        if not queue or queue[0] is not msg:
+        src = msg.src
+        queues = self._in_flight[dst]
+        queue = queues.get(src)
+        if queue is None or queue[0] is not msg:
             raise SimulationError(
                 f"FIFO violation delivering {msg!r}; head is "
                 f"{queue[0]!r}" if queue else f"lost message {msg!r}"
             )
-        del queue[0]
+        if len(queue) == 1:
+            del queues[src]
+        else:
+            del queue[0]
         total = self._in_flight_total - 1
         self._in_flight_total = total
         tr = self._tracer
         if tr.enabled:
             tr.emit(
-                "network", "deliver", rank=dst, src=msg.src,
+                "network", "deliver", rank=dst, src=src,
                 msg_id=msg.msg_id, ctx=msg.context_id, tag=msg.tag,
                 nbytes=msg.nbytes, in_flight=total,
             )
@@ -219,39 +251,55 @@ class Network:
         endpoint(msg)
 
     # ------------------------------------------------------------------
-    # in-flight introspection (tests/assertions only; MANA never calls it)
+    # in-flight introspection: read-only oracles over the in-flight
+    # index.  Callers: tests, and MANA's invariant checks (drain quiesce,
+    # restart teardown, deadlock analysis) — never MANA's algorithms.
+    # A query for one destination costs O(messages in flight to it); a
+    # whole-fabric query costs O(nranks + messages in flight), and O(1)
+    # when nothing is in flight.
     # ------------------------------------------------------------------
+    def _iter_in_flight(
+        self, src: Optional[int] = None, dst: Optional[int] = None
+    ) -> Iterator[Message]:
+        if not self._in_flight_total:
+            return
+        rows = self._in_flight if dst is None else (self._in_flight[dst],)
+        for queues in rows:
+            if src is None:
+                for queue in queues.values():
+                    yield from queue
+            else:
+                yield from queues.get(src, ())
+
     def in_flight_count(self) -> int:
+        """Messages in flight, O(1)."""
         return self._in_flight_total
 
     def in_flight_bytes(
         self, src: Optional[int] = None, dst: Optional[int] = None
     ) -> int:
-        total = 0
-        for (s, d), msgs in self._in_flight.items():
-            if src is not None and s != src:
-                continue
-            if dst is not None and d != dst:
-                continue
-            total += sum(m.nbytes for m in msgs)
-        return total
+        """Payload bytes in flight, optionally from one source and/or to
+        one destination; O(messages in flight to ``dst``)."""
+        return sum(m.nbytes for m in self._iter_in_flight(src, dst))
 
     def pending_messages(self) -> List[Message]:
-        out: List[Message] = []
-        for msgs in self._in_flight.values():
-            out.extend(msgs)
-        out.sort(key=lambda m: m.msg_id)
-        return out
+        """Every in-flight message, in msg-id (injection) order;
+        O(nranks + n log n) for n messages in flight."""
+        return sorted(self._iter_in_flight(), key=_by_msg_id)
 
     def app_in_flight(self, dst: Optional[int] = None) -> List[Message]:
         """In-flight messages on *application* communicator contexts
         (even context ids; odd ids are collective-internal traffic that
-        the drain never sees, per the paper's Section III-B scope).
-        Optionally filtered to one destination rank."""
-        return [
-            m for m in self.pending_messages()
-            if m.context_id % 2 == 0 and (dst is None or m.dst == dst)
-        ]
+        the drain never sees, per the paper's Section III-B scope), in
+        msg-id order.  Optionally filtered to one destination rank, which
+        costs O(messages in flight to it).  Every in-flight oracle (drain
+        quiesce, restart teardown, deadlock analysis) asks this method
+        rather than re-filtering :meth:`pending_messages`."""
+        return sorted(
+            (m for m in self._iter_in_flight(dst=dst)
+             if m.context_id % 2 == 0),
+            key=_by_msg_id,
+        )
 
     # ------------------------------------------------------------------
     # restart support: the fabric persists across a lower-half teardown;
@@ -263,12 +311,10 @@ class Network:
         correct MANA drain only collective-internal messages can remain,
         and those are regenerated by replay — the restart engine asserts
         exactly that before calling this."""
-        n = 0
-        for msgs in self._in_flight.values():
-            for m in msgs:
-                self._purged.add(m.msg_id)
-                n += 1
-            msgs.clear()
+        n = self._in_flight_total
+        self._purged.update(m.msg_id for m in self._iter_in_flight())
+        for queues in self._in_flight:
+            queues.clear()
         self._in_flight_total = 0
         return n
 

@@ -61,6 +61,14 @@ def payload_nbytes(obj: Any) -> int:
         return 8
     if t is float:
         return 8
+    if t is tuple or t is list:
+        # exact-type sequences (counter pairs, rows of them): same sum
+        # as the isinstance branch below, without a generator per level
+        n = 8
+        for x in obj:
+            tx = type(x)
+            n += 8 if (tx is int or tx is float) else payload_nbytes(x)
+        return n
     if obj is None:
         return 0
     if t is np.ndarray:

@@ -39,6 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "tools"))
 
 from capture_goldens import (  # noqa: E402
     REEXEC_CASES,
+    alltoall_matrix,
     matrix,
     reexec_fingerprint,
 )
@@ -160,7 +161,54 @@ GOLDENS = {
     },
 }
 
+#: the pairwise-exchange ``alltoall`` on a permuted sub-communicator,
+#: captured at the commit before its helpers were inlined (the drain's
+#: counter exchange is p(p-1) of these messages per checkpoint round)
+ALLTOALL_GOLDENS = {
+    "alltoall_sub_p1": {
+        "bytes": 444,
+        "elapsed": "1.706333333333333e-06",
+        "events": 27,
+        "finished_sha": "3eaf8cd358c351be0c281add8e14506237384db44f086c81e8006826ffc461a5",
+        "messages": 6,
+        "results_sha": "eca1f03f805fb7bf2885a6995e03e44cf419bfd04dfda7940240d60abce58c34",
+    },
+    "alltoall_sub_p2": {
+        "bytes": 858,
+        "elapsed": "3.4111000000000003e-06",
+        "events": 60,
+        "finished_sha": "b8408fb3377bdc617a73f0eb50a1671d99310a72d86fe10facafcf68bde786d7",
+        "messages": 14,
+        "results_sha": "c817e97aef1f38fa01e8045402a7990017c05a15de082ac26d440c858d938591",
+    },
+    "alltoall_sub_p3": {
+        "bytes": 1432,
+        "elapsed": "5.115866666666668e-06",
+        "events": 109,
+        "finished_sha": "b89794aae5fde6d7ec15261e309d490862f5b8f3f38fd4556fe51ff0e75e80ef",
+        "messages": 26,
+        "results_sha": "56e859dbb2e81573032f3d0e07ec1ac88684ed10b22118015b409411b660c92d",
+    },
+    "alltoall_sub_p7": {
+        "bytes": 5328,
+        "elapsed": "1.3823999999999993e-05",
+        "events": 459,
+        "finished_sha": "8af019c3b3d8be87375ec4d1fdbdd6996825f7d99f1f68ff61dedbcbcd88bffc",
+        "messages": 114,
+        "results_sha": "4381cda115b9fb7ed427dd7293937350227bdfdeec8dea4d5b9eb9ae1ffc5a38",
+    },
+    "alltoall_sub_p16": {
+        "bytes": 23454,
+        "elapsed": "4.1202133333333296e-05",
+        "events": 2155,
+        "finished_sha": "276d52a6a9395ce51400097394078d273a3ca080bf6b3c5ee25ffa987280513d",
+        "messages": 546,
+        "results_sha": "8be5bc32cdd41eba0c6868324c1ff5fd2ebc840c5c2cfc6487584b6d99c95828",
+    },
+}
+
 _MATRIX = dict(matrix())
+_ALLTOALL_MATRIX = dict(alltoall_matrix())
 
 
 def test_matrix_covers_goldens():
@@ -172,6 +220,14 @@ def test_matrix_covers_goldens():
 def test_fastpath_bit_identical(name):
     """Optimized scheduler + fused pipeline reproduce every golden."""
     assert _MATRIX[name]() == GOLDENS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ALLTOALL_GOLDENS))
+def test_alltoall_bit_identical(name):
+    """Result rows, per-member finishing times, traffic and event counts
+    of the inlined ``alltoall`` match the helper-based original."""
+    assert set(_ALLTOALL_MATRIX) == set(ALLTOALL_GOLDENS)
+    assert _ALLTOALL_MATRIX[name]() == ALLTOALL_GOLDENS[name]
 
 
 @pytest.mark.parametrize(

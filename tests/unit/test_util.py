@@ -79,6 +79,18 @@ class TestSerde:
         assert payload_nbytes([1, 2]) == 8 + 16
         assert payload_nbytes({"k": 1.0}) == 8 + 1 + 8
 
+    def test_payload_nbytes_exact_and_subclassed_sequences_agree(self):
+        # the exact-type list/tuple path and the isinstance fallback a
+        # subclass takes must price the same elements identically
+        from collections import namedtuple
+
+        Pair = namedtuple("Pair", "nbytes msgs")
+        items = (3, 2.5, True, None, "ab", b"xyz", (1, [2.0, (3,)]), [])
+        expected = 8 + 8 + 8 + 1 + 0 + 2 + 3 + (8 + 8 + (8 + 8 + (8 + 8))) + 8
+        assert payload_nbytes(items) == expected
+        assert payload_nbytes(list(items)) == expected
+        assert payload_nbytes(Pair(*items[:2])) == payload_nbytes(items[:2]) == 24
+
     def test_payload_nbytes_consistent(self):
         obj = {"x": np.arange(7), "y": [1, "two"]}
         assert payload_nbytes(obj) == payload_nbytes(obj)

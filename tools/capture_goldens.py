@@ -38,6 +38,8 @@ from repro.faults.scenarios import run_scenario
 from repro.hosts import CORI_HASWELL, CORI_KNL, TESTBOX, TESTBOX_MN
 from repro.mana import ManaConfig, ManaSession
 from repro.mana.session import CheckpointPlan, resume_from_checkpoint
+from repro.simmpi import UNDEFINED
+from repro.simmpi.runner import run_native
 from repro.util.trace import JsonlSink
 
 
@@ -208,8 +210,56 @@ def matrix():
     ]
 
 
+#: sub-communicator sizes of the ``alltoall`` pin (1 = the self-copy
+#: only, 2/3 = first rounds, 7 = odd, 16 = members on three TESTBOX
+#: nodes, so intranode and internode links both carry rounds)
+ALLTOALL_SIZES = (1, 2, 3, 7, 16)
+
+
+def alltoall_fingerprint(p):
+    """One native pairwise-exchange ``alltoall`` on a ``p``-member
+    sub-communicator of a ``p + 2``-rank world whose local ranks are a
+    permutation of the members' world ranks (``comm_split`` key), with
+    nested list/tuple payloads like the drain's per-pair counters.
+    Pins every member's result row, its virtual finishing time, and the
+    traffic and event totals."""
+    _reset_id_counters()
+    world = p + 2
+    finished = {}
+
+    def prog(lib, task):
+        w = task.world_rank
+        member = 1 <= w <= p
+        sub = yield from lib.comm_split(
+            task, lib.comm_world, 0 if member else UNDEFINED,
+            key=(w % 2) * 100 - w)  # evens descending, then odds
+        if not member:
+            return None
+        me = lib.comm_rank(task, sub)
+        row = [(w * 100 + j, float(me), [w, j]) for j in range(p)]
+        out = yield from lib.alltoall(task, sub, row)
+        finished[w] = repr(lib.sched.now)
+        return me, out
+
+    run = run_native(world, prog, TESTBOX)
+    stats = run.network.stats
+    return {
+        "elapsed": repr(run.elapsed),
+        "events": run.sched.events_run,
+        "messages": stats.messages,
+        "bytes": stats.bytes,
+        "finished_sha": _sha(json.dumps(finished, sort_keys=True)),
+        "results_sha": _sha(json.dumps(run.results)),
+    }
+
+
+def alltoall_matrix():
+    return [(f"alltoall_sub_p{p}", lambda p=p: alltoall_fingerprint(p))
+            for p in ALLTOALL_SIZES]
+
+
 def capture() -> dict:
-    return {name: fn() for name, fn in matrix()}
+    return {name: fn() for name, fn in matrix() + alltoall_matrix()}
 
 
 if __name__ == "__main__":
