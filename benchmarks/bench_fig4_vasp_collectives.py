@@ -7,9 +7,9 @@ figure motivates why VASP is the stress test for MANA's per-collective
 overhead.
 
 Here: the DFT proxy (pure-MPI VASP-5 flavor) run natively across node
-counts; the rate rises with scale and flattens (strong scaling shrinks
-the compute between collectives until the collectives themselves bound
-the rate), i.e. roughly logarithmic growth.
+counts; the rate rises with every doubling but by less each time
+(strong scaling shrinks the compute between collectives while their
+log p latency grows), i.e. roughly logarithmic growth.
 """
 
 import math
@@ -66,17 +66,13 @@ def test_fig4_collective_rate(once):
     save_result("fig4_vasp_collectives", render(data), data)
     for name, rows in data["machines"].items():
         rates = [r["collectives_per_sec_per_process"] for r in rows]
-        # the rate grows when doubling nodes at small scale ...
-        head = rates[:3]
-        assert all(b > a for a, b in zip(head, head[1:])), (name, rates)
-        # ... but sublinearly (roughly logarithmic): doubling nodes gains
-        # less than doubling the rate, and at large node counts the rate
-        # saturates (collective latency grows with log p) — allow a
-        # plateau/taper, but no collapse
+        # the rate rises with every doubling of nodes, but sublinearly
+        # (roughly logarithmic): each doubling gains less than 2x, the
+        # collectives' log p latency taking a growing share of the
+        # shrinking per-rank compute.  No plateau or taper is allowed:
+        # one means some set-up cost is growing like p again
         for a, b in zip(rates, rates[1:]):
-            assert b / a < 2.0, (name, rates)
-        peak = max(rates)
-        assert rates[-1] > 0.5 * peak, (name, rates)
+            assert 1.0 < b / a < 2.0, (name, rates)
     # Haswell's faster compute yields a higher collective rate (as in the
     # paper's figure, where the Haswell series sits above KNL)
     h = data["machines"]["haswell"][0]["collectives_per_sec_per_process"]

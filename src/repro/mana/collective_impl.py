@@ -11,9 +11,9 @@ already-sent fraction is drained into upper-half buffers and the
 coroutine resumes the remaining rounds after restart.
 
 The message pattern mirrors the lower-half algorithms (binomial trees,
-recursive doubling, dissemination) so costs are comparable; tags live in
-a reserved range far above MPI_TAG_UB so they can never collide with
-application tags.
+recursive doubling, dissemination, Bruck) so costs are comparable; tags
+live in a reserved range far above MPI_TAG_UB so they can never collide
+with application tags.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Any, List, Optional
 
 from repro.errors import MpiError
 from repro.simmpi.ops import ReductionOp
+from repro.util.serde import SizedBlocks, payload_nbytes
 
 #: base of the reserved internal tag space (application tags are
 #: validated against MPI_TAG_UB = 2^30 - 1)
@@ -200,15 +201,21 @@ def scatter(api, comm_vid, me, p, data: Optional[List[Any]], root, seq):
 
 
 def allgather(api, comm_vid, me, p, data, seq):
-    blocks: List[Any] = [None] * p
-    blocks[me] = data
-    right, left = (me + 1) % p, (me - 1) % p
-    cur = data
-    for step in range(p - 1):
-        yield from api._internal_isend(comm_vid, right, _tag(seq, step), cur)
-        cur, _ = yield from api._internal_recv(comm_vid, left, _tag(seq, step))
-        blocks[(me - step - 1) % p] = cur
-    return blocks
+    # Bruck, as in the lower half: round k ships the first
+    # min(2^k, p-2^k) held blocks to me-2^k and appends me+2^k's; each
+    # block's size is measured once by its owner (SizedBlocks)
+    blocks: List[Any] = [data]
+    sizes: List[int] = [payload_nbytes(data)]
+    d, k = 1, 0
+    while d < p:
+        n = min(d, p - d)
+        head = SizedBlocks(blocks[:n], sizes[:n])
+        yield from api._internal_isend(comm_vid, (me - d) % p, _tag(seq, k), head)
+        got, _ = yield from api._internal_recv(comm_vid, (me + d) % p, _tag(seq, k))
+        blocks += got.blocks
+        sizes += got.sizes
+        d, k = d << 1, k + 1
+    return blocks[p - me:] + blocks[:p - me]
 
 
 def alltoall(api, comm_vid, me, p, data: List[Any], seq):

@@ -7,7 +7,7 @@ identifies this instance.  Internal messages travel on the communicator's
 they can never match application receives.
 
 The algorithms are the textbook ones (binomial trees, recursive doubling,
-dissemination, ring, pairwise exchange) because the paper's performance
+dissemination, Bruck, pairwise exchange) because the paper's performance
 arguments depend on their structure: a broadcast root injects ``log p``
 messages and returns without waiting — the "non-blocking but
 synchronizing" semantics of Sections III-D/III-E — while a barrier
@@ -22,6 +22,7 @@ from typing import Any, List, Optional
 from repro.errors import MpiError
 from repro.simmpi.comm import RealComm
 from repro.simmpi.ops import ReductionOp
+from repro.util.serde import SizedBlocks, payload_nbytes
 
 #: tag stride between collective instances; rounds within an instance
 #: occupy tag offsets [0, TAG_STRIDE)
@@ -290,31 +291,36 @@ def scatter(
 
 
 # ----------------------------------------------------------------------
-# allgather: ring
+# allgather: Bruck (what MPICH runs for short blocks, any p)
 # ----------------------------------------------------------------------
 
 def allgather(lib, task, comm: RealComm, me: int, data: Any, seq: int):
-    # hot path: helpers inlined (ring; one round per peer)
+    # hot path: helpers inlined (ceil(log2 p) rounds << TAG_STRIDE).
+    # Entering round k a rank holds the blocks of ranks me .. me+2^k-1;
+    # it ships the first min(2^k, p-2^k) of them to rank me-2^k and
+    # appends what rank me+2^k ships.  Sizes ride along (SizedBlocks):
+    # a block is measured once, by its owner, however often forwarded.
     p = comm.size
-    blocks: List[Any] = [None] * p
-    blocks[me] = data
+    blocks: List[Any] = [data]
+    sizes: List[int] = [payload_nbytes(data)]
     ctx = comm.coll_ctx
     wr = comm.group.world_ranks
-    right = wr[(me + 1) % p]
-    left = wr[(me - 1) % p]
-    base = seq * TAG_STRIDE
+    tag = seq * TAG_STRIDE
     isend = lib._isend_raw
     irecv = lib._irecv_raw
     wait = lib._wait
-    cur = data
-    for step in range(p - 1):
-        if step >= TAG_STRIDE:
-            raise MpiError(f"collective round {step} exceeds tag stride")
-        tag = base + step
-        yield from isend(task, ctx, right, tag, cur)
-        cur = yield from wait(task, irecv(task, ctx, left, tag))
-        blocks[(me - step - 1) % p] = cur
-    return blocks
+    d = 1
+    while d < p:
+        n = min(d, p - d)
+        yield from isend(task, ctx, wr[(me - d) % p], tag,
+                         SizedBlocks(blocks[:n], sizes[:n]))
+        got = yield from wait(task, irecv(task, ctx, wr[(me + d) % p], tag))
+        blocks += got.blocks
+        sizes += got.sizes
+        d <<= 1
+        tag += 1
+    # blocks[i] is rank (me + i) % p's: rotate into rank order
+    return blocks[p - me:] + blocks[:p - me]
 
 
 # ----------------------------------------------------------------------

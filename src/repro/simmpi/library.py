@@ -517,14 +517,18 @@ class MpiLibrary:
         entries = yield from self.allgather(task, comm, (color, key, me))
         if color is UNDEFINED or color is None:
             return COMM_NULL
+        # the colour's first member to get here builds its group; the
+        # rest find the communicator and skip the filter + sort
+        memo_key = ("split", comm.pt2pt_ctx, seq, color)
+        existing = self._creation_memo.get(memo_key)
+        if existing is not None:
+            return existing
         members = sorted(
             (k, r) for (c, k, r) in entries if c == color
         )
         world = [comm.world_rank(r) for (_k, r) in members]
         return self._get_or_create_comm(
-            ("split", comm.pt2pt_ctx, seq, color),
-            Group(world),
-            f"{comm.name}.split{seq}c{color}",
+            memo_key, Group(world), f"{comm.name}.split{seq}c{color}"
         )
 
     def comm_create(self, task: RankTask, comm: RealComm, group: Group):

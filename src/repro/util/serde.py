@@ -47,6 +47,25 @@ def loads(data: bytes) -> Any:
     return pickle.loads(body)
 
 
+class SizedBlocks:
+    """A run of ``allgather`` blocks travelling as one message.
+
+    Each block's wire size is measured once, by the rank that
+    contributed it, and travels with the block: a message costs the
+    plain sum of its blocks' sizes (no container header), and forwarding
+    a block never re-walks it.  Both collective layers send this type,
+    so sender, receiver and the drain's per-pair counters agree on every
+    message's size by construction.
+    """
+
+    __slots__ = ("blocks", "sizes", "nbytes")
+
+    def __init__(self, blocks: list, sizes: list):
+        self.blocks = blocks
+        self.sizes = sizes
+        self.nbytes = sum(sizes)
+
+
 def payload_nbytes(obj: Any) -> int:
     """Best-effort wire size of a message payload, in bytes.
 
@@ -73,6 +92,8 @@ def payload_nbytes(obj: Any) -> int:
         return 0
     if t is np.ndarray:
         return int(obj.nbytes)
+    if t is SizedBlocks:
+        return obj.nbytes
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, np.generic):

@@ -87,3 +87,47 @@ def test_alt_mode_never_enters_lower_half_collectives():
         # MANA itself (the drain's alltoall is on the internal comm; no
         # checkpoint here, so none at all)
         assert lib_calls.get(op, 0) <= (1 if op == "barrier" else 0), op
+
+
+class StaggeredAllgather(MpiProgram):
+    """One allgather of unequal blocks, entered late by the high ranks so
+    that at any instant the members sit in different Bruck rounds."""
+
+    def main(self, api):
+        me, p = api.rank, api.size
+        yield from api.compute(3e-5 * ((p - me) % p))
+        out = yield from api.allgather((me, "x" * me))
+        return out
+
+
+@pytest.mark.parametrize("p", [3, 6])
+def test_alt_allgather_restart_between_bruck_rounds(p, monkeypatch):
+    """A ``restart`` checkpoint that catches the above-the-lower-half
+    Bruck allgather with a later-round message in flight: the message is
+    drained into the upper half, the lower half is replaced, and the
+    remaining rounds still assemble the native result."""
+    from repro.mana.buffers import DrainBuffer
+    from repro.mana.collective_impl import SEQ_STRIDE
+    from repro.util.serde import SizedBlocks
+
+    drained_rounds = []
+    put = DrainBuffer.put
+
+    def spy(self, msg):
+        if type(msg.payload) is SizedBlocks:
+            drained_rounds.append(msg.tag % SEQ_STRIDE)
+        put(self, msg)
+
+    monkeypatch.setattr(DrainBuffer, "put", spy)
+    factory = lambda r: StaggeredAllgather(r)
+    native = run_app_native(p, factory, TESTBOX)
+    base = ManaSession(p, factory, TESTBOX, ALT).run()
+    assert base.results == native.results
+    for frac in (0.1, 0.3, 0.5):
+        out = ManaSession(p, factory, TESTBOX, ALT).run(
+            checkpoints=[CheckpointPlan(at=base.elapsed * frac,
+                                        action="restart")]
+        )
+        assert out.results == native.results, frac
+        assert len(out.restarts) == 1
+    assert any(k >= 1 for k in drained_rounds), drained_rounds

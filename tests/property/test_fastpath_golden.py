@@ -11,7 +11,15 @@ pre-optimization implementation.
 The fingerprints below were captured with ``tools/capture_goldens.py``
 at the commit immediately before the fast-path work (the reference
 implementation is preserved as
-:class:`repro.des.scheduler.ReferenceScheduler`).  The capture tool
+:class:`repro.des.scheduler.ReferenceScheduler`) — except the entries
+whose programs split a communicator or allgather
+(``dft_testbox_master``, ``dft_haswell_master``, ``md_knl_ft``,
+``reexec_churn_2pc`` and the five ``alltoall_sub_p*``), recaptured once
+when the lower half's ``allgather`` went from a ring to Bruck's
+algorithm: an intentional model change that moved their virtual times,
+event/message counts and trace streams, and none of their byte totals
+or ``results_sha`` (``tools/capture_goldens.py --diff`` shows exactly
+which keys move).  The capture tool
 rewinds every process-global id counter (msg ids, request ids, window
 and memory handles) at the start of each case, so each fingerprint is
 order-independent — pytest may interleave cases freely and still match
@@ -46,26 +54,27 @@ from capture_goldens import (  # noqa: E402
 
 from repro.des.scheduler import ReferenceScheduler, Scheduler  # noqa: E402
 
-#: captured by tools/capture_goldens.py before the fast-path work;
+#: captured by tools/capture_goldens.py before the fast-path work (the
+#: four allgather-bearing entries at the Bruck switch, see above);
 #: ``elapsed`` is the exact float repr of the final virtual time and
 #: ``trace_sha`` hashes the full JSONL trace stream (every emission, in
 #: order, with virtual timestamps)
 GOLDENS = {
     "dft_testbox_master": {
         "bytes": 122430,
-        "elapsed": "0.0019721001075625145",
-        "events": 2911,
-        "messages": 653,
+        "elapsed": "0.0019653001075625167",
+        "events": 2652,
+        "messages": 589,
         "results_sha": "29338a67a9640e7fd4123e7481dff6b6aec5e49d11351da2d1f463767726c2f6",
-        "trace_sha": "924f5d37e43052c1dd52ed10455dd7c4615a960b1ad0e5958b47c9f70225f5b4",
+        "trace_sha": "c03d1b165c1cf35e9e5f2264d34746334f405406835b3bfb1e526e146ad3aa24",
     },
     "dft_haswell_master": {
         "bytes": 378116,
-        "elapsed": "0.0019520934383793925",
-        "events": 9307,
-        "messages": 2219,
+        "elapsed": "0.0019333934383793925",
+        "events": 7899,
+        "messages": 1867,
         "results_sha": "623f3b1093b957d1b3c172d651a225e52f3b399d93aaddbff31622fe445787a4",
-        "trace_sha": "260d8c25236fee6134ceec197a668ec755682a37a38742efaef887e5619eac03",
+        "trace_sha": "0f37fe2a083d5396b26cc69df13abfb913fc601857d475dcbac3b2f77eaaf0ad",
     },
     "ring_testbox_original": {
         "bytes": 240,
@@ -85,11 +94,11 @@ GOLDENS = {
     },
     "md_knl_ft": {
         "bytes": 4747264,
-        "elapsed": "0.18195015723099833",
-        "events": 6594,
-        "messages": 296,
+        "elapsed": "0.18194710749766502",
+        "events": 6495,
+        "messages": 264,
         "results_sha": "6e9400d9595c888e72ce5a0e9f72801f86ee6d5ba1566178fdfa8fadce5a7cff",
-        "trace_sha": "8325849d5add6d8c87553378cc750d39ee4941a9ca5f2d6f34f9acd8c3db85de",
+        "trace_sha": "b2c865c7672a07efa8745d1a5ae2317ad6012010877bb8f096117cb07b11f0ec",
     },
     "icoll_testbox_2pc": {
         "bytes": 480,
@@ -153,56 +162,60 @@ GOLDENS = {
     },
     "reexec_churn_2pc": {
         "bytes": 416,
-        "elapsed": "0.003517578228571425",
-        "events": 225,
-        "messages": 32,
+        "elapsed": "0.003516728228571426",
+        "events": 209,
+        "messages": 28,
         "results_sha": "e1d24f1677082980ad3e61fc2a64d8232c03217ff3038c0b27aba60897d34db7",
-        "trace_sha": "74d6ec0d5442b637d2581a9ccb0ae333640061e86d9fba0cfeae96ec098a0abf",
+        "trace_sha": "dd8a74eb397289087326c67ffc544d763d834ff9e07562ee3c9f8ca3d871e6b6",
     },
 }
 
-#: the pairwise-exchange ``alltoall`` on a permuted sub-communicator,
-#: captured at the commit before its helpers were inlined (the drain's
-#: counter exchange is p(p-1) of these messages per checkpoint round)
+#: the pairwise-exchange ``alltoall`` on a permuted sub-communicator
+#: (the drain's counter exchange is p(p-1) of these messages per
+#: checkpoint round).  ``bytes`` and ``results_sha`` date from the commit
+#: before the alltoall's helpers were inlined; the rest was recaptured
+#: at the Bruck switch, where the one ``comm_split`` of the w = p + 2
+#: world ahead of the alltoall went from w(w-1) messages to
+#: w*ceil(log2 w) and ``messages`` fell by exactly that difference
 ALLTOALL_GOLDENS = {
     "alltoall_sub_p1": {
         "bytes": 444,
         "elapsed": "1.706333333333333e-06",
         "events": 27,
-        "finished_sha": "3eaf8cd358c351be0c281add8e14506237384db44f086c81e8006826ffc461a5",
+        "finished_sha": "9b9025a6b303744d59cfca5af022e80a8ff34eae2506ee245b238af4a8e34280",
         "messages": 6,
         "results_sha": "eca1f03f805fb7bf2885a6995e03e44cf419bfd04dfda7940240d60abce58c34",
     },
     "alltoall_sub_p2": {
         "bytes": 858,
-        "elapsed": "3.4111000000000003e-06",
-        "events": 60,
-        "finished_sha": "b8408fb3377bdc617a73f0eb50a1671d99310a72d86fe10facafcf68bde786d7",
-        "messages": 14,
+        "elapsed": "2.5611e-06",
+        "events": 44,
+        "finished_sha": "79653e81c94123d4d0bc2aa54fa61d8dc355095ae0e274929c89db309e891f82",
+        "messages": 10,
         "results_sha": "c817e97aef1f38fa01e8045402a7990017c05a15de082ac26d440c858d938591",
     },
     "alltoall_sub_p3": {
         "bytes": 1432,
-        "elapsed": "5.115866666666668e-06",
-        "events": 109,
-        "finished_sha": "b89794aae5fde6d7ec15261e309d490862f5b8f3f38fd4556fe51ff0e75e80ef",
-        "messages": 26,
+        "elapsed": "4.263766666666667e-06",
+        "events": 89,
+        "finished_sha": "e17b84253e0b580fead4193165737b64ce10df45fc0c7273bef830a0ef17172a",
+        "messages": 21,
         "results_sha": "56e859dbb2e81573032f3d0e07ec1ac88684ed10b22118015b409411b660c92d",
     },
     "alltoall_sub_p7": {
         "bytes": 5328,
-        "elapsed": "1.3823999999999993e-05",
-        "events": 459,
-        "finished_sha": "8af019c3b3d8be87375ec4d1fdbdd6996825f7d99f1f68ff61dedbcbcd88bffc",
-        "messages": 114,
+        "elapsed": "1.045475833333333e-05",
+        "events": 301,
+        "finished_sha": "d0d1ccc1b1d427e62f16ce7e9d3ca2558ee04fd579696f547a831e8864a9f821",
+        "messages": 78,
         "results_sha": "4381cda115b9fb7ed427dd7293937350227bdfdeec8dea4d5b9eb9ae1ffc5a38",
     },
     "alltoall_sub_p16": {
         "bytes": 23454,
-        "elapsed": "4.1202133333333296e-05",
-        "events": 2155,
-        "finished_sha": "276d52a6a9395ce51400097394078d273a3ca080bf6b3c5ee25ffa987280513d",
-        "messages": 546,
+        "elapsed": "3.1666574999999984e-05",
+        "events": 1280,
+        "finished_sha": "f7c3e586d43a137ff209c77541d8ed82798e08e6dcdeef5c0490d376fdfa1768",
+        "messages": 330,
         "results_sha": "8be5bc32cdd41eba0c6868324c1ff5fd2ebc840c5c2cfc6487584b6d99c95828",
     },
 }

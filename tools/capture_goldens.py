@@ -18,16 +18,22 @@ with::
 
     PYTHONPATH=src python tools/capture_goldens.py > /tmp/goldens.json
 
-and diff against the values embedded in the property test.
+or, to see per case which keys differ from the values embedded in the
+property test (exit status 1 when any does)::
+
+    PYTHONPATH=src python tools/capture_goldens.py --diff
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import io
 import itertools
 import json
 import os
+import pathlib
+import sys
 import tempfile
 
 from repro.apps.dft_proxy import DftConfig, DftProxy
@@ -262,5 +268,39 @@ def capture() -> dict:
     return {name: fn() for name, fn in matrix() + alltoall_matrix()}
 
 
+def pinned() -> dict:
+    """The fingerprints embedded in the property test, read from its
+    source (importing it would import this module back)."""
+    test = (pathlib.Path(__file__).resolve().parent.parent
+            / "tests" / "property" / "test_fastpath_golden.py")
+    out = {}
+    for node in ast.parse(test.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(
+                node.targets[0], "id", None) in ("GOLDENS", "ALLTOALL_GOLDENS"):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def diff() -> int:
+    """Print, per case, the keys whose captured value differs from the
+    pinned one (``key: pinned -> captured``); returns how many cases
+    moved."""
+    old, new = pinned(), capture()
+    names = sorted(set(old) | set(new))
+    moved = 0
+    for name in names:
+        was, now = old.get(name, {}), new.get(name, {})
+        keys = [k for k in sorted(set(was) | set(now))
+                if was.get(k) != now.get(k)]
+        moved += bool(keys)
+        print(f"{name}: " + ("; ".join(
+            f"{k}: {was.get(k)} -> {now.get(k)}" for k in keys)
+            or "identical"))
+    print(f"{moved} of {len(names)} cases differ")
+    return moved
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(1 if diff() else 0)
     print(json.dumps(capture(), indent=2, sort_keys=True))
