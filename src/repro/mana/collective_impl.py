@@ -11,7 +11,8 @@ already-sent fraction is drained into upper-half buffers and the
 coroutine resumes the remaining rounds after restart.
 
 The message pattern mirrors the lower-half algorithms (binomial trees,
-recursive doubling, dissemination, Bruck) so costs are comparable; tags
+recursive doubling, dissemination, Bruck, and for ``alltoall`` the same
+switch on block size) so costs are comparable; tags
 live in a reserved range far above MPI_TAG_UB so they can never collide
 with application tags.
 """
@@ -21,6 +22,13 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.errors import MpiError
+from repro.simmpi.collectives import (
+    ALLTOALL_SHORT_MSG,
+    alltoall_mismatch,
+    bruck_alltoall_rounds,
+    bruck_pack,
+    bruck_unpack,
+)
 from repro.simmpi.ops import ReductionOp
 from repro.util.serde import SizedBlocks, payload_nbytes
 
@@ -219,16 +227,37 @@ def allgather(api, comm_vid, me, p, data, seq):
 
 
 def alltoall(api, comm_vid, me, p, data: List[Any], seq):
+    # the lower half's size switch and round schedule, message for
+    # message: Bruck while every block fits ALLTOALL_SHORT_MSG, the
+    # pairwise exchange above it; both open on round tag 1 towards
+    # me+1, where Bruck catches a row from the other side of the
+    # threshold
     if len(data) != p:
         raise MpiError(f"alltoall needs a list of {p} items")
-    result: List[Any] = [None] * p
-    result[me] = data[me]
-    for i in range(1, p):
-        dst = (me + i) % p
-        src = (me - i) % p
-        yield from api._internal_isend(comm_vid, dst, _tag(seq, i), data[dst])
-        result[src], _ = yield from api._internal_recv(comm_vid, src, _tag(seq, i))
-    return result
+    sizes = list(map(payload_nbytes, data))
+    longest = max(sizes)
+    if longest > ALLTOALL_SHORT_MSG:
+        result: List[Any] = [None] * p
+        result[me] = data[me]
+        for i in range(1, p):
+            dst = (me + i) % p
+            src = (me - i) % p
+            yield from api._internal_isend(comm_vid, dst, _tag(seq, i), data[dst])
+            result[src], _ = yield from api._internal_recv(comm_vid, src, _tag(seq, i))
+        return result
+    held = list(data[me:] + data[:me])
+    sizes = sizes[me:] + sizes[:me]
+    k = 1
+    for d, cuts in bruck_alltoall_rounds(p):
+        part = bruck_pack(cuts, held, sizes)
+        yield from api._internal_isend(comm_vid, (me + d) % p, _tag(seq, k), part)
+        src = (me - d) % p
+        got, _ = yield from api._internal_recv(comm_vid, src, _tag(seq, k))
+        if type(got) is not SizedBlocks:
+            raise alltoall_mismatch(me, longest, src, got)
+        bruck_unpack(cuts, held, sizes, got)
+        k += 1
+    return held[me::-1] + held[:me:-1]
 
 
 def scan(api, comm_vid, me, p, data, op: ReductionOp, seq):

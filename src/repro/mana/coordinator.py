@@ -535,13 +535,6 @@ class Coordinator:
         return unequal
 
     def _release_round(self, reports, in_lower) -> None:
-        self.release_rounds += 1
-        if self.release_rounds > self.rt.cfg.max_release_rounds:
-            raise CheckpointError(
-                f"equalization did not converge after "
-                f"{self.rt.cfg.max_release_rounds} release rounds; "
-                f"horizons={self.horizons}"
-            )
         parked = {
             rank: r for rank, r in reports.items() if r["kind"] in PARKED_KINDS
         }
@@ -606,6 +599,18 @@ class Coordinator:
                 f"counts unequal, nothing releasable; horizons={self.horizons}"
             )
 
+        if release:
+            # only a round that releases someone counts against the cap:
+            # while ranks are inside the lower half, every other rank's
+            # report lands here too and just waits for them to come out
+            # (one such evaluation per rank leaving a world barrier)
+            self.release_rounds += 1
+            if self.release_rounds > self.rt.cfg.max_release_rounds:
+                raise CheckpointError(
+                    f"equalization did not converge after "
+                    f"{self.rt.cfg.max_release_rounds} release rounds; "
+                    f"horizons={self.horizons}"
+                )
         for rank, mode in release.items():
             self.reports[rank] = None  # expect a fresh report
             self._send_rank(rank, ("release", dict(self.horizons), mode))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.errors import DrainError
+
 
 class PairwiseCounters:
     """One rank's view: bytes sent to / received from every world rank."""
@@ -46,22 +48,20 @@ class PairwiseCounters:
         alltoall exchanges.  Message counts matter independently of
         bytes: zero-byte messages (barrier tokens, empty payloads) are
         invisible to byte accounting alone."""
-        return [
-            (self.sent[p], self.sent_msgs[p]) for p in range(self.nranks)
-        ]
+        return list(zip(self.sent, self.sent_msgs))
 
     def deficit_from(self, expected_from_each: List[tuple]) -> Dict[int, tuple]:
         """Given each peer's (sent-to-me bytes, messages) from the
         alltoall, return {peer: (missing bytes, missing messages)} for
         peers we have not fully heard."""
+        heard = list(zip(self.received, self.received_msgs))
+        if heard == expected_from_each:
+            return {}  # the usual answer, found without a Python-level loop
         out: Dict[int, tuple] = {}
-        for peer in range(self.nranks):
-            exp_bytes, exp_msgs = expected_from_each[peer]
-            miss_bytes = exp_bytes - self.received[peer]
-            miss_msgs = exp_msgs - self.received_msgs[peer]
+        for peer, (expected, got) in enumerate(zip(expected_from_each, heard)):
+            miss_bytes = expected[0] - got[0]
+            miss_msgs = expected[1] - got[1]
             if miss_bytes < 0 or miss_msgs < 0:
-                from repro.errors import DrainError
-
                 raise DrainError(
                     f"received more than world rank {peer} reports sending "
                     f"({-miss_bytes} bytes / {-miss_msgs} messages over); "

@@ -13,10 +13,17 @@ messages and returns without waiting — the "non-blocking but
 synchronizing" semantics of Sections III-D/III-E — while a barrier
 synchronizes everyone in ``log p`` rounds, which is exactly the cost the
 original MANA added in front of every collective call.
+
+Per collective: barrier — dissemination; bcast, reduce, gather, scatter
+— binomial trees; allreduce — recursive doubling; allgather — Bruck at
+every size; alltoall — Bruck's store-and-forward while every block is at
+most ``ALLTOALL_SHORT_MSG`` bytes (the drain's counter exchange), the
+pairwise exchange above it (FFT transposes), as MPICH switches.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, List, Optional
 
 from repro.errors import MpiError
@@ -27,6 +34,11 @@ from repro.util.serde import SizedBlocks, payload_nbytes
 #: tag stride between collective instances; rounds within an instance
 #: occupy tag offsets [0, TAG_STRIDE)
 TAG_STRIDE = 1 << 20
+
+#: largest block, in bytes, that ``alltoall`` still moves with Bruck's
+#: algorithm: MPICH's ``MPIR_CVAR_ALLTOALL_SHORT_MSG_SIZE`` default (256),
+#: which Cray MPICH inherits.  A model constant, not a tuning knob
+ALLTOALL_SHORT_MSG = 256
 
 
 def _tag(seq: int, round_: int = 0) -> int:
@@ -324,33 +336,127 @@ def allgather(lib, task, comm: RealComm, me: int, data: Any, seq: int):
 
 
 # ----------------------------------------------------------------------
-# alltoall: pairwise exchange
+# alltoall: Bruck for short blocks, pairwise exchange for long ones
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def bruck_alltoall_rounds(p: int) -> tuple:
+    """Round schedule of Bruck's ``alltoall`` on ``p`` ranks, one
+    ``(d, cuts)`` per round; both collective layers run it.
+
+    A rank holds ``p`` blocks, block ``i`` bound for the rank ``i``
+    places above it.  Round ``k`` (``d = 2^k``) ships the blocks whose
+    index has bit ``k`` set to rank ``me + d`` and takes the same
+    positions from rank ``me - d``, so a block travels the binary
+    expansion of its distance and block ``i`` ends up holding what rank
+    ``me - i`` sent.  ``cuts`` covers that index set with slices — its
+    runs of ``d`` where those are few, strides of ``2d`` where those
+    are fewer, about ``sqrt(p / 2)`` at most — each paired with its
+    span in the round's message: ``(slice, start, stop)``.
+    """
+    rounds = []
+    d = 1
+    while d < p:
+        runs = [slice(s, min(s + d, p)) for s in range(d, p, 2 * d)]
+        strides = [slice(o, p, 2 * d) for o in range(d, min(2 * d, p))]
+        cuts, at = [], 0
+        for cut in min(runs, strides, key=len):
+            n = len(range(p)[cut])
+            cuts.append((cut, at, at + n))
+            at += n
+        rounds.append((d, tuple(cuts)))
+        d <<= 1
+    return tuple(rounds)
+
+
+def bruck_pack(cuts: tuple, held: list, sizes: list) -> SizedBlocks:
+    """One round's message: the blocks under ``cuts`` with their sizes."""
+    blocks: List[Any] = []
+    nbytes: List[int] = []
+    for cut, _start, _stop in cuts:
+        blocks += held[cut]
+        nbytes += sizes[cut]
+    return SizedBlocks(blocks, nbytes)
+
+
+def bruck_unpack(cuts: tuple, held: list, sizes: list, got: SizedBlocks) -> None:
+    """Put the peer's message for this round into the same positions."""
+    for cut, start, stop in cuts:
+        held[cut] = got.blocks[start:stop]
+        sizes[cut] = got.sizes[start:stop]
+
+
+def alltoall_mismatch(me: int, longest: int, src: int, got: Any) -> MpiError:
+    """The error for rows on opposite sides of ``ALLTOALL_SHORT_MSG``.
+
+    Both algorithms open with the same exchange (send to ``me + 1``,
+    receive from ``me - 1``, same tag) and their messages differ in
+    type.  If any two ranks disagree then, going round the ring, some
+    rank running Bruck sits right after one running the pairwise
+    exchange, and its first receive is a bare block — a typed error
+    instead of a hang."""
+    return MpiError(
+        f"alltoall rows straddle ALLTOALL_SHORT_MSG = {ALLTOALL_SHORT_MSG} "
+        f"bytes: rank {me}'s largest block is {longest} bytes, but rank "
+        f"{src} sent a bare {payload_nbytes(got)}-byte block, as the "
+        "pairwise exchange does for a row holding a longer one; MPI "
+        "requires matching type signatures across ranks"
+    )
+
+
 def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
+    """``data[j]`` goes to rank ``j``; returns the blocks received, in
+    rank order.
+
+    As in MPI, the type signatures must match across ranks: every rank
+    passes ``p`` blocks, and either all rows keep every block within
+    ``ALLTOALL_SHORT_MSG`` bytes (Bruck, ``ceil(log2 p)`` messages per
+    rank, blocks forwarded) or none does (pairwise exchange, ``p - 1``
+    messages per rank).  Rows that straddle the threshold raise
+    :class:`MpiError` (see :func:`alltoall_mismatch`)."""
     # hot path: helpers inlined (MANA's drain runs one of these over the
-    # whole world per checkpoint round, p(p-1) messages); round i uses
-    # tag offset i < p, so one check covers every round
+    # whole world per checkpoint round); tag offsets stay below p, so
+    # one check covers every round of either algorithm
     p = comm.size
     if len(data) != p:
         raise MpiError(f"alltoall needs a list of {p} items, got {len(data)}")
     if p > TAG_STRIDE:
         raise MpiError(f"collective round {p - 1} exceeds tag stride")
-    result: List[Any] = [None] * p
-    result[me] = data[me]
+    sizes = list(map(payload_nbytes, data))
+    longest = max(sizes)
     ctx = comm.coll_ctx
     wr = comm.group.world_ranks
-    base = seq * TAG_STRIDE
+    tag = seq * TAG_STRIDE + 1
     isend = lib._isend_raw
     irecv = lib._irecv_raw
     wait = lib._wait
-    for i in range(1, p):
-        dst = (me + i) % p
-        src = (me - i) % p
-        tag = base + i
-        yield from isend(task, ctx, wr[dst], tag, data[dst])
-        result[src] = yield from wait(task, irecv(task, ctx, wr[src], tag))
-    return result
+
+    if longest > ALLTOALL_SHORT_MSG:
+        result: List[Any] = [None] * p
+        result[me] = data[me]
+        for i in range(1, p):
+            dst = (me + i) % p
+            src = (me - i) % p
+            yield from isend(task, ctx, wr[dst], tag, data[dst])
+            result[src] = yield from wait(task, irecv(task, ctx, wr[src], tag))
+            tag += 1
+        return result
+
+    # held[i]: bound for rank me + i before the rounds, come from rank
+    # me - i after them.  Sizes ride along (SizedBlocks): a block is
+    # measured once, by its owner, however often it is forwarded.
+    held = list(data[me:] + data[:me])
+    sizes = sizes[me:] + sizes[:me]
+    for d, cuts in bruck_alltoall_rounds(p):
+        yield from isend(task, ctx, wr[(me + d) % p], tag,
+                         bruck_pack(cuts, held, sizes))
+        src = (me - d) % p
+        got = yield from wait(task, irecv(task, ctx, wr[src], tag))
+        if type(got) is not SizedBlocks:
+            raise alltoall_mismatch(me, longest, src, got)
+        bruck_unpack(cuts, held, sizes, got)
+        tag += 1
+    return held[me::-1] + held[:me:-1]
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import io
 import pickle
 import struct
 import zlib
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -48,7 +48,8 @@ def loads(data: bytes) -> Any:
 
 
 class SizedBlocks:
-    """A run of ``allgather`` blocks travelling as one message.
+    """A run of ``allgather`` or short-message ``alltoall`` blocks
+    travelling as one message.
 
     Each block's wire size is measured once, by the rank that
     contributed it, and travels with the block: a message costs the
@@ -60,7 +61,7 @@ class SizedBlocks:
 
     __slots__ = ("blocks", "sizes", "nbytes")
 
-    def __init__(self, blocks: list, sizes: list):
+    def __init__(self, blocks: Sequence[Any], sizes: Sequence[int]):
         self.blocks = blocks
         self.sizes = sizes
         self.nbytes = sum(sizes)

@@ -131,3 +131,49 @@ def test_alt_allgather_restart_between_bruck_rounds(p, monkeypatch):
         assert out.results == native.results, frac
         assert len(out.restarts) == 1
     assert any(k >= 1 for k in drained_rounds), drained_rounds
+
+
+class StaggeredAlltoall(MpiProgram):
+    """One alltoall of short, unequal blocks (so it runs Bruck's rounds),
+    entered late by the high ranks so that at any instant the members
+    sit in different rounds."""
+
+    def main(self, api):
+        me, p = api.rank, api.size
+        yield from api.compute(3e-5 * ((p - me) % p))
+        out = yield from api.alltoall([(me, j, "x" * j) for j in range(p)])
+        return out
+
+
+@pytest.mark.parametrize("p", [3, 6])
+def test_alt_alltoall_restart_between_bruck_rounds(p, monkeypatch):
+    """As above for the short-message alltoall, whose round ``k``
+    travels on tag offset ``k + 1``: a message of round 1 or later is
+    drained, the lower half replaced, and the transpose still comes out."""
+    from repro.mana.buffers import DrainBuffer
+    from repro.mana.collective_impl import SEQ_STRIDE
+    from repro.util.serde import SizedBlocks
+
+    drained_rounds = []
+    put = DrainBuffer.put
+
+    def spy(self, msg):
+        if type(msg.payload) is SizedBlocks:
+            drained_rounds.append(msg.tag % SEQ_STRIDE - 1)
+        put(self, msg)
+
+    monkeypatch.setattr(DrainBuffer, "put", spy)
+    factory = lambda r: StaggeredAlltoall(r)
+    native = run_app_native(p, factory, TESTBOX)
+    assert native.results == [
+        [(r, me, "x" * me) for r in range(p)] for me in range(p)]
+    base = ManaSession(p, factory, TESTBOX, ALT).run()
+    assert base.results == native.results
+    for frac in (0.1, 0.3, 0.5, 0.7):
+        out = ManaSession(p, factory, TESTBOX, ALT).run(
+            checkpoints=[CheckpointPlan(at=base.elapsed * frac,
+                                        action="restart")]
+        )
+        assert out.results == native.results, frac
+        assert len(out.restarts) == 1
+    assert any(k >= 1 for k in drained_rounds), drained_rounds

@@ -251,3 +251,28 @@ class TestEqualization:
         out = run_mana(4, factory, ManaConfig.feature_2pc(),
                        plans=[CheckpointPlan(at=0.02, action="restart")])
         assert out.results == [24, 24, 24, 24]
+
+    @pytest.mark.parametrize(
+        "nranks,cfg,cut",
+        [(64, ManaConfig(), 0.9), (512, ManaConfig.feature_2pc(), 0.67)],
+        ids=["64-default", "512-feature_2pc"],
+    )
+    def test_release_rounds_do_not_grow_with_nranks(self, nranks, cfg, cut):
+        """A late cut finds the fast ranks inside the world barrier of
+        finalize.  One round releases the laggards into it (a second
+        re-releases those that parked on a halo receive on the way);
+        the reports that then arrive one per rank leaving the barrier
+        are waits, not rounds — counting them made this nranks + 2 and
+        turned the 512-rank run into a CheckpointError at the cap."""
+        from repro.apps.md_proxy import MdConfig, MdProxy
+        from repro.hosts import CORI_HASWELL
+
+        md = MdConfig(nranks=nranks, steps=4, seed=2021)
+        factory = lambda r: MdProxy(r, md, CORI_HASWELL)
+        base = ManaSession(nranks, factory, CORI_HASWELL, cfg).run()
+        out = ManaSession(nranks, factory, CORI_HASWELL, cfg).run(
+            checkpoints=[CheckpointPlan(at=cut * base.elapsed,
+                                        action="restart")])
+        assert [c["release_rounds"] for c in out.checkpoints] == [2]
+        assert len(out.restarts) == 1
+        assert out.results == base.results

@@ -19,7 +19,14 @@ when the lower half's ``allgather`` went from a ring to Bruck's
 algorithm: an intentional model change that moved their virtual times,
 event/message counts and trace streams, and none of their byte totals
 or ``results_sha`` (``tools/capture_goldens.py --diff`` shows exactly
-which keys move).  The capture tool
+which keys move).  A second intentional change re-pinned the
+checkpoint-bearing entries (``ckpt_ring_2pc``, ``ckpt_randpt2pt_ft``,
+the three ``fault_*``, the four ``reexec_*`` — ``trace_sha`` only — and
+``alltoall_sub_p7``/``p16``) when ``alltoall`` began running Bruck's
+algorithm on blocks of at most ``ALLTOALL_SHORT_MSG`` bytes, which the
+drain's counter exchange is; again no ``results_sha`` moved
+(``results/ledger_pr19_compare.txt`` holds that ``--diff``).  The
+capture tool
 rewinds every process-global id counter (msg ids, request ids, window
 and memory handles) at the start of each case, so each fingerprint is
 order-independent — pytest may interleave cases freely and still match
@@ -109,32 +116,32 @@ GOLDENS = {
         "trace_sha": "103f0b682b91e7ddb6ed24969cbf3fb735040cc8cfffebab19ca5f46bd4a11a1",
     },
     "ckpt_ring_2pc": {
-        "bytes": 1104,
-        "elapsed": "0.020850951716666698",
-        "events": 946,
-        "messages": 96,
+        "bytes": 1392,
+        "elapsed": "0.020849253316666698",
+        "events": 898,
+        "messages": 84,
         "results_sha": "1041f5b3af406f7d21617730183b48ac133ddc1bc70d6a1eb8caec0f62b21f5c",
-        "trace_sha": "2292dd6f27dc9224a286a1d9fa0581864ac4816be6ed8664b0637503a99b4cd5",
+        "trace_sha": "af588987d02ee66a8a9b22043696b964fbb21d21a4bf14a48662acd8bbdcbcf1",
     },
     "ckpt_randpt2pt_ft": {
-        "bytes": 2336,
-        "elapsed": "0.0015440651249999996",
-        "events": 470,
-        "messages": 52,
+        "bytes": 2432,
+        "elapsed": "0.0015422681249999996",
+        "events": 454,
+        "messages": 48,
         "results_sha": "e243f514f4b24aeb6630ddca24682072bf574ba99340144335590d80ab7db1d3",
-        "trace_sha": "0de58523714a40cc400931e6e2ff59de522d7db2a5ab1a1b2019108c00087bd8",
+        "trace_sha": "5d1c64af8e8260081c1237dedb6cbd36ea8d3744128d3097cd6e8cf215ef3e2d",
     },
     "fault_kill_after_ckpt": {
         "ok": True,
-        "summary_sha": "0d3e26bf3b77a58f886814b5fa460e35c8c321bf4e5956fb20cf4d5c34a2bf89",
+        "summary_sha": "59afb38836f2500135bb6ed21531062d5dd33c3ac40d0052c734642c53e2a59d",
     },
     "fault_drop_commit": {
         "ok": True,
-        "summary_sha": "328c62bd90b70a2da08cbd12c6856adf2f5848c2803a32a68bf789d82eda5a9d",
+        "summary_sha": "93b020a8ecfbac4db7858684fb148c0dbe0a5a11082e95e6879791adde7dac9a",
     },
     "fault_corrupt_blob": {
         "ok": True,
-        "summary_sha": "0388a074b51d0d4bfc6e936cf5084e915bfd31918837013681aca4f84b8eb541",
+        "summary_sha": "06731c3d898999de9cb536ac4746127fc104ee77e25730a885c4263c915fdf7a",
     },
     "reexec_ring_2pc": {
         "bytes": 128,
@@ -142,7 +149,7 @@ GOLDENS = {
         "events": 312,
         "messages": 24,
         "results_sha": "c441a2ca6d2b04cdc1dacfcfd67fbd34992282cd0840487575a5c58b087155d6",
-        "trace_sha": "25ff3cdf5288a3af402f6a319805fa3702c33e4399b6321896dc329a5d74cc4d",
+        "trace_sha": "2dee82ffa18cf15e7c2049ca2dc5dc5a6b9963d95971faed282e7491365fa105",
     },
     "reexec_randpt2pt_2pc": {
         "bytes": 960,
@@ -150,7 +157,7 @@ GOLDENS = {
         "events": 311,
         "messages": 30,
         "results_sha": "7d94c65748cff3e78ce7862d411ac8f887fbb513dc9acc104b56c42bfeed4571",
-        "trace_sha": "1a9be6e248bc842ac3c64181f3a085c409a7e5b483566d9987ed5e0af51a7a72",
+        "trace_sha": "3350452103147f047d2e3a3ceb894603078d02e9f3b00e83b933fb0ef52a5424",
     },
     "reexec_icoll_2pc": {
         "bytes": 960,
@@ -158,7 +165,7 @@ GOLDENS = {
         "events": 809,
         "messages": 128,
         "results_sha": "dad70af6a6059e3e33a3d897335ee163fceae69642ea96124b715242eecf32d8",
-        "trace_sha": "d6ab9223f01f0bbdd54768e670f91b49b4405db5f18115e4385a63079b53dc4a",
+        "trace_sha": "7f6e0528898034f0be5da0ae61409774ba3fca5476b8bddcea9a95470a675d8b",
     },
     "reexec_churn_2pc": {
         "bytes": 416,
@@ -166,17 +173,18 @@ GOLDENS = {
         "events": 209,
         "messages": 28,
         "results_sha": "e1d24f1677082980ad3e61fc2a64d8232c03217ff3038c0b27aba60897d34db7",
-        "trace_sha": "dd8a74eb397289087326c67ffc544d763d834ff9e07562ee3c9f8ca3d871e6b6",
+        "trace_sha": "7acc0d490ca6ccc37df0a123ce92adf51036fc1aa004e64cda3b925d7ac19140",
     },
 }
 
-#: the pairwise-exchange ``alltoall`` on a permuted sub-communicator
-#: (the drain's counter exchange is p(p-1) of these messages per
-#: checkpoint round).  ``bytes`` and ``results_sha`` date from the commit
-#: before the alltoall's helpers were inlined; the rest was recaptured
-#: at the Bruck switch, where the one ``comm_split`` of the w = p + 2
-#: world ahead of the alltoall went from w(w-1) messages to
-#: w*ceil(log2 w) and ``messages`` fell by exactly that difference
+#: ``alltoall`` on a permuted sub-communicator.  ``alltoall_sub_p*``
+#: send 48-byte blocks like the drain's counter exchange and pin Bruck's
+#: algorithm (p <= 3 is message-for-message the pairwise exchange, so
+#: those three have not moved since the helpers were inlined, apart from
+#: the ``comm_split`` ahead of them when ``allgather`` went Bruck);
+#: ``alltoall_long_sub_p*`` pad the blocks past ``ALLTOALL_SHORT_MSG``
+#: and pin the pairwise exchange, captured at the last commit that ran
+#: it at every size
 ALLTOALL_GOLDENS = {
     "alltoall_sub_p1": {
         "bytes": 444,
@@ -203,20 +211,36 @@ ALLTOALL_GOLDENS = {
         "results_sha": "56e859dbb2e81573032f3d0e07ec1ac88684ed10b22118015b409411b660c92d",
     },
     "alltoall_sub_p7": {
-        "bytes": 5328,
-        "elapsed": "1.045475833333333e-05",
-        "events": 301,
-        "finished_sha": "d0d1ccc1b1d427e62f16ce7e9d3ca2558ee04fd579696f547a831e8864a9f821",
-        "messages": 78,
+        "bytes": 6336,
+        "elapsed": "7.909558333333335e-06",
+        "events": 222,
+        "finished_sha": "606704c24080530359c2cdb1cf333bb50263a386bd8f1491edc706d2279f1b06",
+        "messages": 57,
         "results_sha": "4381cda115b9fb7ed427dd7293937350227bdfdeec8dea4d5b9eb9ae1ffc5a38",
     },
     "alltoall_sub_p16": {
-        "bytes": 23454,
-        "elapsed": "3.1666574999999984e-05",
-        "events": 1280,
-        "finished_sha": "f7c3e586d43a137ff209c77541d8ed82798e08e6dcdeef5c0490d376fdfa1768",
-        "messages": 330,
+        "bytes": 36510,
+        "elapsed": "1.3835374999999995e-05",
+        "events": 614,
+        "finished_sha": "139eb48a51b01b8eb9662a6ed352257fe5856e48a9434e301717cc73b376fc28",
+        "messages": 154,
         "results_sha": "8be5bc32cdd41eba0c6868324c1ff5fd2ebc840c5c2cfc6487584b6d99c95828",
+    },
+    "alltoall_long_sub_p7": {
+        "bytes": 17928,
+        "elapsed": "1.051475833333333e-05",
+        "events": 306,
+        "finished_sha": "ed69b4b4f4af30530fdd53c71a8cb76c448640f8132e8c8527be406b932af1fe",
+        "messages": 78,
+        "results_sha": "88f5dc9e53c61f1641af807dc90f40828a69ea949f0441ba17b0b0c5a69ff1fd",
+    },
+    "alltoall_long_sub_p16": {
+        "bytes": 95454,
+        "elapsed": "3.213657499999999e-05",
+        "events": 1282,
+        "finished_sha": "d5018ade53094a50963d07a48a719df6c36d66028cbb3fec33955e86988dab74",
+        "messages": 330,
+        "results_sha": "5ef13186aef00e3f39ce0064bc2be34100d7e588900a2a02a83fc01d0611748c",
     },
 }
 
@@ -238,7 +262,7 @@ def test_fastpath_bit_identical(name):
 @pytest.mark.parametrize("name", sorted(ALLTOALL_GOLDENS))
 def test_alltoall_bit_identical(name):
     """Result rows, per-member finishing times, traffic and event counts
-    of the inlined ``alltoall`` match the helper-based original."""
+    of both ``alltoall`` algorithms match their pins."""
     assert set(_ALLTOALL_MATRIX) == set(ALLTOALL_GOLDENS)
     assert _ALLTOALL_MATRIX[name]() == ALLTOALL_GOLDENS[name]
 

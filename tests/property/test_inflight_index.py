@@ -89,11 +89,13 @@ def test_index_matches_brute_force_recount(steps):
 
 def test_index_is_sized_by_traffic_in_flight():
     """After a 64-rank all-pairs exchange (4032 pairs talked) drains,
-    the index holds no per-pair entry at all."""
+    the index holds no per-pair entry at all.  The blocks are longer
+    than ``ALLTOALL_SHORT_MSG``: shorter ones go by Bruck's algorithm,
+    where only 6 peers per rank ever talk."""
     p = 64
 
     def prog(lib, task):
-        row = [(task.world_rank, j) for j in range(p)]
+        row = [(task.world_rank, j, "#" * 300) for j in range(p)]
         out = yield from lib.alltoall(task, lib.comm_world, row)
         return out
 

@@ -220,18 +220,23 @@ def matrix():
 #: only, 2/3 = first rounds, 7 = odd, 16 = members on three TESTBOX
 #: nodes, so intranode and internode links both carry rounds)
 ALLTOALL_SIZES = (1, 2, 3, 7, 16)
+#: sizes also pinned with blocks above ``ALLTOALL_SHORT_MSG``
+ALLTOALL_LONG_SIZES = (7, 16)
 
 
-def alltoall_fingerprint(p):
-    """One native pairwise-exchange ``alltoall`` on a ``p``-member
-    sub-communicator of a ``p + 2``-rank world whose local ranks are a
-    permutation of the members' world ranks (``comm_split`` key), with
-    nested list/tuple payloads like the drain's per-pair counters.
-    Pins every member's result row, its virtual finishing time, and the
-    traffic and event totals."""
+def alltoall_fingerprint(p, long_blocks=False):
+    """One native ``alltoall`` on a ``p``-member sub-communicator of a
+    ``p + 2``-rank world whose local ranks are a permutation of the
+    members' world ranks (``comm_split`` key), with nested list/tuple
+    payloads like the drain's per-pair counters.  The 48-byte blocks
+    take the short-message (Bruck) algorithm; ``long_blocks`` pads each
+    to 348 bytes, which takes the pairwise exchange.  Pins every
+    member's result row, its virtual finishing time, and the traffic
+    and event totals."""
     _reset_id_counters()
     world = p + 2
     finished = {}
+    pad = ("#" * 300,) if long_blocks else ()
 
     def prog(lib, task):
         w = task.world_rank
@@ -242,7 +247,7 @@ def alltoall_fingerprint(p):
         if not member:
             return None
         me = lib.comm_rank(task, sub)
-        row = [(w * 100 + j, float(me), [w, j]) for j in range(p)]
+        row = [(w * 100 + j, float(me), [w, j]) + pad for j in range(p)]
         out = yield from lib.alltoall(task, sub, row)
         finished[w] = repr(lib.sched.now)
         return me, out
@@ -261,7 +266,10 @@ def alltoall_fingerprint(p):
 
 def alltoall_matrix():
     return [(f"alltoall_sub_p{p}", lambda p=p: alltoall_fingerprint(p))
-            for p in ALLTOALL_SIZES]
+            for p in ALLTOALL_SIZES] + [
+        (f"alltoall_long_sub_p{p}",
+         lambda p=p: alltoall_fingerprint(p, long_blocks=True))
+        for p in ALLTOALL_LONG_SIZES]
 
 
 def capture() -> dict:
