@@ -247,8 +247,9 @@ def spec_chaos(points: int = 100, nranks: int = 4, laps: int = 6,
     point, every cell classified completed / recovered / lost, any
     invariant violation a failed cell.  The default grid is 3 × 100 =
     300 injection points.  Cells carry a 1-based *point index*, not a
-    raw event number — each cell derives its event from its own
-    deterministic golden run, keeping the grid static JSON."""
+    raw event number — a cell derives its event from the deterministic
+    golden run of its ``(nranks, laps)``, which a campaign computes once
+    for the whole grid — keeping the grid static JSON."""
     return CampaignSpec.make(
         name="chaos",
         kind="chaos",

@@ -33,6 +33,7 @@ from repro.hosts import TESTBOX_MN
 from repro.mana.config import ManaConfig
 from repro.mana.session import ManaSession
 from repro.storage import StoragePolicy
+from repro.util.reference import reference_run
 from repro.util.rng import make_rng
 
 #: fault kinds the chaos sweep knows how to throw at an event index
@@ -76,12 +77,17 @@ def _session(nranks: int, laps: int) -> ManaSession:
     return sess
 
 
+@reference_run
 def chaos_golden(nranks: int = 4, laps: int = 6) -> dict:
     """The fault-free reference: same config, same periodic checkpoints,
     zero injections.  Defines the event range to sweep, the result every
-    surviving run must reproduce bit-for-bit, and the horizon."""
-    factory, expected = _workload(nranks, laps)
-    probe = ManaSession(nranks, factory, TESTBOX_MN, chaos_config()).run()
+    surviving run must reproduce bit-for-bit, and the horizon.
+
+    A reference run (:mod:`repro.util.reference`): two full sessions,
+    computed once per process for each ``(nranks, laps)`` and shared by
+    every point that strikes it — read-only."""
+    _factory, expected = _workload(nranks, laps)
+    probe = _session(nranks, laps).run()
     assert probe.results == expected, "chaos workload reference is wrong"
     interval = probe.elapsed / 3.0
     sess = _session(nranks, laps)
@@ -366,26 +372,30 @@ def summarize_sweep(results: Sequence[dict]) -> dict:
     }
 
 
-def run_chaos_cell(params: dict) -> dict:
+def chaos_cell_references(params: dict) -> tuple:
+    """The reference runs a chaos cell is handed, as keys: its golden."""
+    return (chaos_golden.key(int(params.get("nranks", 4)),
+                             int(params.get("laps", 6))),)
+
+
+def run_chaos_cell(params: dict, golden: dict) -> dict:
     """One chaos point as a campaign cell body.
 
     ``params`` names the fault kind and a *point index* (1-based, out of
     ``points``) rather than a raw event number, so the campaign grid is
-    static JSON; the cell derives its injection event from its own
-    deterministic golden run.  Violations raise (the runner records a
-    failed cell — correctly, a chaos violation IS a failure of the
-    system under test); a job-lost point re-raises the typed
-    :class:`JobLostError` so the runner's ``"lost"`` outcome path
-    aggregates it with its work-lost accounting.
+    static JSON; the cell derives its injection event from ``golden``,
+    the reference run :func:`chaos_cell_references` names for it — one
+    golden per ``(nranks, laps)``, shared by every cell of the grid.
+    Violations raise (the runner records a failed cell — correctly, a
+    chaos violation IS a failure of the system under test); a job-lost
+    point re-raises the typed :class:`JobLostError` so the runner's
+    ``"lost"`` outcome path aggregates it with its work-lost accounting.
     """
     kind = params["fault"]
     idx = int(params["point"])
     points = int(params["points"])
     seed = int(params.get("seed", 0))
-    nranks = int(params.get("nranks", 4))
-    laps = int(params.get("laps", 6))
     depth = int(params.get("depth", 2))
-    golden = chaos_golden(nranks, laps)
     stride = max(1, golden["events"] // (points + 1))
     event = min(stride * idx, golden["events"])
     point = run_chaos_point(kind, event, seed=seed, golden=golden,

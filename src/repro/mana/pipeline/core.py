@@ -18,17 +18,21 @@ Stage order for a non-collective call::
 Blocking collectives run the gate *inside* the skeleton (the horizon
 gate needs the translated communicator's gid first).
 
-Dispatch is precompiled: ``__init__`` builds one fused closure per
-registry row, resolving the registry lookup, the ``count``/``checkin``
-branches, and the ``getattr`` handler resolution once at wire-up.  The
-hot path is then a dict hit plus a direct generator call.  The gate
-safe point is additionally guarded inline by the exact no-op condition
-of ``maybe_checkin`` (no intent, or already inside the checkpoint), so
-a fault-free call skips the gate generator entirely.
+Dispatch is compiled: each registry row becomes one fused closure,
+resolving the registry lookup, the ``count``/``checkin`` branches, the
+call-statistics category and the ``getattr`` handler resolution once —
+the first time the rank makes that call, not at wire-up: a program
+uses a handful of the registry's rows, and recovery and restart build
+fresh pipelines for every rank.  The hot path is a dict hit plus a
+direct generator call either way.  The gate safe point is additionally
+guarded inline by the exact no-op condition of ``maybe_checkin`` (no
+intent, or already inside the checkpoint), so a fault-free call skips
+the gate generator entirely.
 """
 
 from __future__ import annotations
 
+from repro.mana.api import COLLECTIVE_OPS, PT2PT_OPS
 from repro.mana.runtime import RankPhase
 
 from .accounting import DrainAccounting
@@ -39,8 +43,20 @@ from .registry import CALL_SPECS
 from .virtualization import Virtualization
 
 
+class _FusedRows(dict):
+    """``name → fused closure``, each compiled on its first lookup."""
+
+    def __init__(self, compile_row):
+        super().__init__()
+        self._compile_row = compile_row
+
+    def __missing__(self, name: str):
+        fused = self[name] = self._compile_row(CALL_SPECS[name])
+        return fused
+
+
 class Pipeline:
-    """Per-rank stage stack + precompiled declarative dispatch."""
+    """Per-rank stage stack + compiled declarative dispatch."""
 
     def __init__(self, api):
         mrank = api.mrank
@@ -52,10 +68,8 @@ class Pipeline:
         self.lower = SemanticLowering(api, self.gate, self.virt,
                                       self.cost, self.acct)
         self._tracer = mrank.rt.sched.tracer
-        #: one fused stage chain per registry row, compiled at wire-up
-        self._fused = {
-            name: self._compile(spec) for name, spec in CALL_SPECS.items()
-        }
+        #: one fused stage chain per registry row the rank has called
+        self._fused = _FusedRows(self._compile)
 
     def call(self, name: str, *args, **kwargs):
         """Lower one MPI entry point through the stages (returns the
@@ -66,10 +80,11 @@ class Pipeline:
         """Fuse one registry row into a single generator function.
 
         Everything ``call`` used to branch on per invocation — the
-        registry hit, the count/checkin flags, the handler ``getattr``,
-        the descriptor presence — is resolved here, once.  The tracer
-        object is hoisted too; only its ``enabled`` bit is read per
-        call, so disabled tracing costs one attribute test.
+        registry hit, the count/checkin flags, the statistics category
+        (``ManaApi._count`` tests two name sets per call), the handler
+        ``getattr``, the descriptor presence — is resolved here, once.
+        The tracer object is hoisted too; only its ``enabled`` bit is
+        read per call, so disabled tracing costs one attribute test.
         """
         api = self.api
         mrank = api.mrank
@@ -77,15 +92,27 @@ class Pipeline:
         tr = self._tracer
         name = spec.name
         desc = spec.desc
-        count = api._count
         handler = getattr(self.lower, spec.handler)
         gate_entry = self.gate.entry
         IN_CKPT = RankPhase.IN_CKPT
 
+        st = mrank.stats
+        if name in COLLECTIVE_OPS:
+            def count():
+                st.count(name)
+                st.collective_calls += 1
+        elif name in PT2PT_OPS:
+            def count():
+                st.count(name)
+                st.pt2pt_calls += 1
+        else:
+            def count():
+                st.count(name)
+
         if spec.checkin:
             # pt2pt / completion calls: count, safe point, handler
             def fused(*args, **kwargs):
-                count(name)
+                count()
                 if tr.enabled:
                     tr.emit("semantic_lowering", "enter", call=name,
                             rank=rank)
@@ -100,7 +127,7 @@ class Pipeline:
             # blocking collectives / comm mgmt: the gate runs inside the
             # skeleton, after communicator translation
             def fused(*args, **kwargs):
-                count(name)
+                count()
                 if tr.enabled:
                     tr.emit("semantic_lowering", "enter", call=name,
                             rank=rank)
@@ -123,7 +150,7 @@ class Pipeline:
         else:
             # wait family, probe, comm_free, memory
             def fused(*args, **kwargs):
-                count(name)
+                count()
                 if tr.enabled:
                     tr.emit("semantic_lowering", "enter", call=name,
                             rank=rank)

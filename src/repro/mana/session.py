@@ -996,3 +996,21 @@ def resume_elastic(
             target_machine=machine.name,
         )
     return sess
+
+
+def import_deferred_modules() -> None:
+    """Import now what this layer otherwise imports on first use.
+
+    A session loads the checkpoint, restart, REEXEC/replay, deadlock and
+    one-sided modules only when a run first needs them, which keeps
+    ``import repro.mana`` light for a single job.  A process about to
+    fork many jobs (``repro.campaign``) calls this once instead, so that
+    its children inherit the modules rather than each importing them.
+    The replay compiler (``repro.mana.ir_bridge`` and ``repro.ir``)
+    stays deferred: only a non-default ``replay_compile`` reaches it.
+    """
+    import repro.mana.checkpoint  # noqa: F401  (drain, portable, serde)
+    import repro.mana.deadlock  # noqa: F401
+    import repro.mana.reexec  # noqa: F401  (replay)
+    import repro.mana.restart  # noqa: F401
+    import repro.simmpi.window  # noqa: F401

@@ -11,6 +11,7 @@ streams.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401 — else loaded on first np.random.* use
 
 from repro.util.hashing import stable_hash
 

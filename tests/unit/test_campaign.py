@@ -2,6 +2,7 @@
 provenance memoization, and the crash-isolating runner."""
 
 import json
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.campaign import (
     percentile,
     render_summary,
     run_campaign,
+    run_cell,
     spec_availability_mc,
     spec_smoke,
     summarize,
@@ -297,6 +299,26 @@ def test_timeout_kills_hung_cell(tmp_path):
     assert run.counts == {"timeout": 1}
     rec = next(iter(run.records.values()))
     assert "timeout" in rec["error"]
+
+
+def test_lingering_worker_is_killed_at_its_deadline(tmp_path):
+    """A worker that has delivered its result but does not exit (here a
+    non-daemon thread outlives the cell) must not hold the campaign: it
+    keeps its slot until the cell's deadline, is killed, and the result
+    it delivered is journaled as it came."""
+    spec = CampaignSpec.make(
+        name="linger", kind="synthetic",
+        base={"fail_mode": "linger"}, axes={"seed": (0, 1)},
+        timeout_s=1.0, max_attempts=1,
+    )
+    t0 = time.monotonic()
+    run = run_campaign(spec, tmp_path / "c", workers=2)
+    assert time.monotonic() - t0 < 30.0  # the thread sleeps for an hour
+    assert run.counts == {"ok": 2}
+    for rec in run.records.values():
+        assert rec["attempts"] == 1 and rec["error"] is None
+        assert rec["result"] == run_cell(
+            "synthetic", {"seed": rec["params"]["seed"]})
 
 
 def test_fresh_run_refuses_populated_directory(tmp_path):

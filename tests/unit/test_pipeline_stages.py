@@ -362,6 +362,49 @@ class TestBitIdenticalWithMonolith:
 
 
 # ----------------------------------------------------------------------
+# rows are compiled on first call, not at wire-up
+# ----------------------------------------------------------------------
+class TestLazyRowCompile:
+    def test_a_rank_compiles_exactly_the_rows_it_called(self):
+        from repro.apps.micro import TokenRing
+
+        sess = ManaSession(4, lambda r: TokenRing(r, laps=3), TESTBOX,
+                           ManaConfig.feature_2pc())
+        out = sess.run()
+        assert out.results == [TokenRing.expected(r, 4, 3) for r in range(4)]
+        for mrank in sess.rt.ranks:
+            compiled = set(mrank.api._pipe._fused)
+            # send + recv, and the barrier inside finalize
+            assert compiled == {"send", "recv", "barrier"}
+            assert compiled == set(mrank.stats.wrapper_calls)
+            assert compiled < set(CALL_SPECS)
+
+    def test_a_row_is_compiled_once(self):
+        from repro.mana.pipeline.core import _FusedRows
+
+        compiled = []
+
+        def compile_row(spec):
+            compiled.append(spec.name)
+            return object()
+
+        rows = _FusedRows(compile_row)
+        first = rows["send"]
+        assert rows["send"] is first and rows["recv"] is not first
+        assert compiled == ["send", "recv"]
+
+    def test_unknown_row_still_raises_keyerror(self):
+        sess = ManaSession(2, lambda r: CountedApp(r), TESTBOX,
+                           ManaConfig.feature_2pc())
+        sess._wire([])
+        pipe = sess.rt.ranks[0].api._pipe
+        assert not pipe._fused  # wired, nothing called, nothing compiled
+        with pytest.raises(KeyError, match="no_such_call"):
+            pipe.call("no_such_call")
+        assert "no_such_call" not in pipe._fused
+
+
+# ----------------------------------------------------------------------
 # the trace spine, end to end
 # ----------------------------------------------------------------------
 class TraceApp(MpiProgram):

@@ -1,9 +1,11 @@
-"""Unit tests for repro.util: hashing, serde, rng, tables."""
+"""Unit tests for repro.util: hashing, serde, rng, tables, reference
+runs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.util import reference
 from repro.util.hashing import hash_ints, hash_rank_tuple, stable_hash
 from repro.util.rng import derive_seed, make_rng
 from repro.util.serde import dumps, loads, payload_nbytes
@@ -144,6 +146,58 @@ class TestTables:
     def test_format_series_length_mismatch(self):
         with pytest.raises(ValueError):
             format_series("s", [1], [1.0, 2.0])
+
+
+class TestReferenceRuns:
+    @pytest.fixture
+    def scaled(self, monkeypatch):
+        """A registered run that logs its computations; registry and
+        memo are put back as they were afterwards."""
+        monkeypatch.setattr(reference, "_RUNS", dict(reference._RUNS))
+        monkeypatch.setattr(reference, "_HELD", {})
+        calls = []
+
+        @reference.reference_run
+        def scaled(n, factor=2):
+            calls.append((n, factor))
+            return {"value": n * factor}
+
+        return scaled, calls
+
+    def test_computed_once_per_key_defaults_applied(self, scaled):
+        fn, calls = scaled
+        assert fn.key(3) == fn.key(3, 2) == fn.key(n=3, factor=2) \
+            == ("scaled", 3, 2)
+        first = fn(3)
+        assert first == {"value": 6}
+        assert fn(3, 2) is first and fn(n=3) is first  # held, not copied
+        assert fn(3, factor=5) == {"value": 15}
+        assert calls == [(3, 2), (3, 5)]
+
+    def test_installed_value_is_served_without_computing(self, scaled):
+        fn, calls = scaled
+        key = fn.key(7)
+        assert reference.missing([key, fn.key(8)]) == [key, fn.key(8)]
+        reference.install(key, {"value": "from elsewhere"})
+        assert reference.missing([key, fn.key(8)]) == [fn.key(8)]
+        assert fn(7) == {"value": "from elsewhere"}
+        assert reference.lookup(key) is fn(7)
+        assert calls == []
+        reference.clear()
+        assert fn(7) == {"value": 14} and calls == [(7, 2)]
+
+    def test_lookup_computes_a_missing_key(self, scaled):
+        fn, calls = scaled
+        assert reference.lookup(("scaled", 4, 3)) == {"value": 12}
+        assert fn(4, 3) == {"value": 12} and calls == [(4, 3)]
+
+    def test_names_are_unique_and_unknown_keys_raise(self, scaled):
+        with pytest.raises(ValueError, match="already registered"):
+            reference.reference_run(scaled[0])
+        with pytest.raises(KeyError):
+            reference.lookup(("no_such_run", 1))
+        with pytest.raises(TypeError):
+            scaled[0].key()  # n is required
 
 
 @settings(max_examples=50, deadline=None)
