@@ -9,8 +9,10 @@ the campaign exactly one failed cell, never the campaign.
 
 Determinism contract: a runner's result must be a pure function of
 ``(params, attempt)`` — no wall-clock values, no process-dependent
-state — so that the same campaign run with 1 worker or 8, interrupted
-or not, aggregates bit-identically.
+state, nothing left behind by a cell the process ran earlier — so that
+the same campaign run with 1 worker or 8, interrupted or not,
+aggregates bit-identically.  It is also what lets a worker run many
+cells: the runner relies on it, ``test_campaign_workers.py`` holds it.
 
 Reference runs: a kind may name, as a function of its params, the
 fault-free runs it measures against (:mod:`repro.util.reference`).
@@ -20,9 +22,9 @@ and hands the values to the runner after ``attempt``.  There is one
 body per kind either way, and a value is a pure function of its key, so
 the contract above does not notice where it came from.
 
-Every import a cell needs is made when this module is: a campaign forks
-hundreds of workers, and what the parent has not imported each of them
-imports again.
+Every import a cell needs is made when this module is: a campaign's
+workers are forked from its parent, and what the parent has not
+imported each of them imports again.
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def synthetic(params: dict, attempt: int) -> dict:
     runner must isolate), ``hang`` sleeps past any timeout, ``flaky``
     SIGKILLs on the first attempt and succeeds on retry — exercising the
     bounded-retry path end to end; ``linger`` returns its result but
-    leaves a non-daemon thread behind, so its worker never exits.
+    leaves a non-daemon thread behind, so its worker cannot exit on its
+    own.
     """
     seed = int(params.get("seed", 0))
     mode = params.get("fail_mode", "none")

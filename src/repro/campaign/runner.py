@@ -1,30 +1,38 @@
 """The campaign executor: fan cells across cores, survive anything.
 
-One worker process per in-flight cell, bounded by ``workers``.  The
-parent never runs simulation code; it launches workers, collects their
-results over a pipe, enforces per-cell deadlines, retries transient
-failures (a crashed or timed-out worker) a bounded number of times, and
-journals every finished cell through :class:`CampaignStore` the moment
-it lands.  A cell that raises is a *failed cell*; a worker that dies —
-SIGKILL, OOM, segfault — is a *crashed cell*; neither is ever a
-campaign failure.  Kill the parent itself and the journal still holds
-every finished cell: resuming skips them and continues.
+One worker process per slot, ``workers`` of them, each running cell
+after cell.  The parent never runs simulation code; it owns the queue,
+hands an idle worker its next cell over that worker's own pipe, reads
+one outcome back, arms a deadline per cell at hand-off, retries
+transient failures (a crashed or timed-out worker) a bounded number of
+times, and journals every finished cell through :class:`CampaignStore`
+the moment it lands.  A cell that raises is a *failed cell*; a worker
+that dies — SIGKILL, OOM, segfault — is a *crashed cell* and a worker to
+replace; neither is ever a campaign failure.  Kill the parent itself and
+the journal still holds every finished cell: resuming skips them and
+continues.
 
-Process-per-cell (rather than a long-lived pool) is deliberate: a pool
-worker that dies poisons the pool machinery, while a dead single-cell
-process costs exactly its own cell.  Cells are seeded simulations
-running tens of milliseconds to minutes, so the fork cost is noise.
+This is not a pool.  A pool's workers pull from a shared queue, and one
+that dies holding the queue's lock, or half way through a message,
+poisons it for the rest.  Here nothing is shared between workers: a pipe
+carries one task at a time to one worker, so a death costs exactly the
+cell in flight on that pipe — the same price as when every cell had a
+process of its own, without the fork, the copy-on-write faults and the
+exit per cell (a quarter to a half of a chaos cell's slot).  What
+licenses running many cells in one process is the Determinism contract
+of :mod:`repro.campaign.cells`: a cell's result is a pure function of
+``(params, attempt)``, whatever ran in the process before it.
 
-What makes that true is that a fork starts warm.  Before its first
-worker the parent imports every module a cell would otherwise import
-for itself, and has each *reference run* its pending cells name — the
-fault-free golden of a chaos grid, the uncheckpointed and checkpointed
-runtimes of an availability study; the same for every cell that shares
-the key — computed once, in a worker like any other, whose answer it
-installs in :mod:`repro.util.reference`.  Every later fork inherits
-both.  A reference run that raises, hangs or dies is a failed
-*preparation*: nothing is installed, and each cell computes its own as
-it would when run alone.
+A worker starts warm.  Before the first one the parent imports every
+module a cell would otherwise import for itself, and has each *reference
+run* its pending cells name — the fault-free golden of a chaos grid, the
+uncheckpointed and checkpointed runtimes of an availability study; the
+same for every cell that shares the key — computed once, in a worker
+like any other, whose answer it installs in :mod:`repro.util.reference`.
+The cell workers are forked after that and inherit both.  A reference
+run that raises, hangs or dies is a failed *preparation*: nothing is
+installed, and each worker computes its own, once, as a cell run alone
+would.
 """
 
 from __future__ import annotations
@@ -53,43 +61,46 @@ from repro.util import reference
 RETRYABLE = ("crashed", "timeout")
 
 
-def _worker_main(conn, sha: Optional[str], fn: Callable, *args) -> None:
-    """Run one task — a cell, or a reference run — and ship the outcome
-    back over the pipe."""
+def _worker_main(conn, sha: Optional[str], inherited) -> None:
+    """Run tasks — cells, or reference runs — as the parent hands them
+    over, one outcome back per task, until it closes the pipe."""
     seed_git_sha(sha)  # never shell out to git from a worker
-    try:
-        result = fn(*args)
-        conn.send({"status": "ok", "result": result})
-    except JobLostError as exc:
-        # graceful degradation is a *reportable outcome*, not a cell
-        # failure: the job exhausted its recovery ladder and ended in
-        # the typed terminal state, with the work lost fully accounted
-        conn.send({
-            "status": "lost",
-            "result": dict(exc.record),
-            "error": str(exc),
-        })
-    except BaseException as exc:  # noqa: BLE001 — isolation boundary
-        conn.send({
-            "status": "failed",
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        })
-    finally:
+    for parent_end in inherited:
+        # a fork holds a copy of the parent's end of every pipe open at
+        # the time, its own included; EOF must mean the parent let go
+        parent_end.close()
+    while True:
         try:
-            conn.close()
-        except OSError:
-            pass
+            fn, *args = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            outcome = {"status": "ok", "result": fn(*args)}
+        except JobLostError as exc:
+            # graceful degradation is a *reportable outcome*, not a cell
+            # failure: the job exhausted its recovery ladder and ended in
+            # the typed terminal state, with the work lost fully accounted
+            outcome = {
+                "status": "lost",
+                "result": dict(exc.record),
+                "error": str(exc),
+            }
+        except BaseException as exc:  # noqa: BLE001 — isolation boundary
+            outcome = {
+                "status": "failed",
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
+            }
+        conn.send(outcome)
 
 
 @dataclass
-class _Slot:
+class _Worker:
     proc: multiprocessing.Process
     conn: "multiprocessing.connection.Connection"
-    item: object              #: the Cell, or the reference key
-    attempt: int
-    deadline: float
-    delivered: bool = False   #: outcome handed on; waiting for the exit
+    item: object = None       #: the Cell, or the reference key, in flight
+    attempt: int = 0
+    deadline: float = 0.0     #: of the task in flight
 
 
 @dataclass
@@ -100,6 +111,9 @@ class CampaignRun:
     skipped: int = 0          #: cache hits: finished in a prior run
     ran: int = 0              #: cells executed to a terminal status now
     retries: int = 0          #: extra attempts spent on transient failures
+    #: cell workers started: one per slot in use, plus one for every
+    #: attempt that crashed or timed out
+    workers_started: int = 0
     #: distinct reference runs the cells launched now found computed
     #: (once, by this campaign or an earlier one in this process)
     reference_runs: int = 0
@@ -126,95 +140,110 @@ def _context():
     )
 
 
+def _outcome_of(worker: _Worker, deadline_s: float) -> Optional[dict]:
+    """The outcome of the task ``worker`` has in flight, once there is
+    one: what it sent, or ``crashed``/``timeout`` made up here — and then
+    the worker is dead, or killed."""
+    # liveness first, the pipe second: a worker that answers and dies
+    # between the two looks is still seen to have answered
+    alive = worker.proc.is_alive()
+    if worker.conn.poll():
+        try:
+            return worker.conn.recv()
+        except (EOFError, OSError):
+            alive = False  # died before/mid send
+    if alive:
+        if time.monotonic() < worker.deadline:
+            return None
+        worker.proc.kill()
+        return {"status": "timeout",
+                "error": f"cell exceeded {deadline_s:g}s timeout"}
+    # one deterministic message whichever way the death was observed
+    # (pipe EOF vs. exit status) — journals must not depend on that race
+    worker.proc.join()
+    return {"status": "crashed",
+            "error": f"worker died with exit code {worker.proc.exitcode}"}
+
+
 def _drain(ctx, sha: Optional[str], nworkers: int, deadline_s: float,
            pending: Deque[Tuple[object, int]],
            task: Callable[[object, int], tuple],
-           finish: Callable[[object, int, dict], None]) -> None:
-    """Run every ``(item, attempt)`` of ``pending``, each in a process of
-    its own, at most ``nworkers`` at once and for at most ``deadline_s``.
+           finish: Callable[[object, int, dict], None]) -> int:
+    """Run every ``(item, attempt)`` of ``pending`` on at most
+    ``nworkers`` worker processes, each task for at most ``deadline_s``;
+    returns how many workers that took.
 
-    ``task(item, attempt)`` is the ``(fn, *args)`` the worker calls;
+    ``task(item, attempt)`` is the ``(fn, *args)`` a worker is sent;
     ``finish(item, attempt, outcome)`` gets the outcome the moment it is
     known — ``{"status", "result", "error", "traceback"}`` as the worker
-    sent it, or ``crashed``/``timeout`` made up here — and may append to
-    ``pending``.
+    sent it, or ``crashed``/``timeout`` from :func:`_outcome_of` — and
+    may append to ``pending``.  A worker runs task after task; one that
+    dies or overruns costs the task it had and is replaced.
     """
-    inflight: List[_Slot] = []
+    workers: List[_Worker] = []
+    #: pipe → worker with a task in flight: what the parent waits on
+    busy: Dict["multiprocessing.connection.Connection", _Worker] = {}
+    started = 0
 
-    def launch(item, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def start() -> _Worker:
+        nonlocal started
+        parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, sha) + tuple(task(item, attempt)),
-            daemon=True,
-        )
+            target=_worker_main, daemon=True,
+            args=(child_conn, sha, [parent_conn] + [w.conn for w in workers]))
         proc.start()
         child_conn.close()
-        inflight.append(_Slot(proc=proc, conn=parent_conn, item=item,
-                              attempt=attempt,
-                              deadline=time.monotonic() + deadline_s))
+        workers.append(_Worker(proc, parent_conn))
+        started += 1
+        return workers[-1]
 
-    def outcome_of(slot: _Slot) -> Optional[dict]:
-        crashed = False
-        if slot.conn.poll():
-            try:
-                return slot.conn.recv()
-            except (EOFError, OSError):
-                crashed = True  # worker died before/mid send
-        elif not slot.proc.is_alive():
-            crashed = True  # dead with nothing readable: same crash
-        elif time.monotonic() >= slot.deadline:
-            slot.proc.kill()
-            return {"status": "timeout",
-                    "error": f"cell exceeded {deadline_s:g}s timeout"}
-        if crashed:
-            # one deterministic message whichever way the death was
-            # observed (pipe EOF vs. sentinel) — journals must not
-            # depend on that race
-            slot.proc.join()
-            return {"status": "crashed",
-                    "error": "worker died with exit code "
-                             f"{slot.proc.exitcode}"}
-        return None
+    def replace(worker: _Worker) -> None:
+        """``worker`` is dead: a fresh one takes its slot."""
+        worker.proc.join()
+        worker.conn.close()
+        workers.remove(worker)
+        start()
 
-    def reap(slot: _Slot) -> bool:
-        """Hand on the slot's outcome once it has one; True once its
-        process is gone as well and the slot is free."""
-        if not slot.delivered:
-            outcome = outcome_of(slot)
-            if outcome is None:
-                return False
-            slot.delivered = True
-            finish(slot.item, slot.attempt, outcome)
-        if not multiprocessing.connection.wait([slot.proc.sentinel], 0):
-            # it has answered and should be exiting; one that does not
-            # (a lingering non-daemon thread, a blocked atexit) keeps
-            # its slot until its deadline and is then killed
-            if time.monotonic() < slot.deadline:
-                return False
-            slot.proc.kill()
-        # the sentinel reads EOF once the worker has closed its files
-        # on the way out, a moment before it can be reaped
-        slot.proc.join()
-        slot.conn.close()
-        return True
+    def hand_off(item, attempt: int) -> None:
+        idle = [w for w in workers if w.item is None]
+        worker = idle[0] if idle else start()
+        try:
+            worker.conn.send(task(item, attempt))
+        except OSError:
+            # it died while idle: no task was lost, so none is charged
+            replace(worker)
+            return hand_off(item, attempt)
+        worker.item, worker.attempt = item, attempt
+        worker.deadline = time.monotonic() + deadline_s  # per task
+        busy[worker.conn] = worker
 
     try:
-        while pending or inflight:
-            while pending and len(inflight) < nworkers:
-                launch(*pending.popleft())
-            multiprocessing.connection.wait(
-                # an answered pipe stays readable (EOF) for good
-                [s.conn for s in inflight if not s.delivered]
-                + [s.proc.sentinel for s in inflight],
-                timeout=0.05,
-            )
-            inflight[:] = [s for s in inflight if not reap(s)]
+        while pending or busy:
+            while pending and len(busy) < nworkers:
+                hand_off(*pending.popleft())
+            # a worker that dies closes its end: its pipe reads EOF
+            multiprocessing.connection.wait(busy, timeout=0.05)
+            for worker in list(busy.values()):
+                outcome = _outcome_of(worker, deadline_s)
+                if outcome is None:
+                    continue
+                del busy[worker.conn]
+                item, worker.item = worker.item, None
+                if outcome["status"] in RETRYABLE:
+                    replace(worker)  # made up here: it is gone
+                finish(item, worker.attempt, outcome)
     finally:
-        for slot in inflight:  # interrupted: leave no orphans
-            slot.proc.kill()
-            slot.proc.join()
-            slot.conn.close()
+        # bounded, interrupted or not: EOF asks a worker to leave, and
+        # one that does not (still in a cell, a thread that lingers) is
+        # killed
+        for worker in workers:
+            worker.conn.close()
+        patience = time.monotonic() + 0.5
+        for worker in workers:
+            worker.proc.join(max(0.0, patience - time.monotonic()))
+            worker.proc.kill()
+            worker.proc.join()
+    return started
 
 
 def _reference_waves(
@@ -348,10 +377,11 @@ def run_campaign(
                       install)
             keys = [key for wave in waves for key in wave]
             run.reference_runs = len(keys) - len(reference.missing(keys))
-        drain(pending,
-              lambda cell, attempt: (run_cell, cell.kind, cell.params_dict,
-                                     attempt),
-              journal)
+        run.workers_started = drain(
+            pending,
+            lambda cell, attempt: (run_cell, cell.kind, cell.params_dict,
+                                   attempt),
+            journal)
     finally:
         store.close()
 
@@ -365,5 +395,6 @@ def run_campaign(
               f"{'run' if run.reference_runs == 1 else 'runs'} shared by "
               f"{shared_by} cells" if shared_by else "")
     say(f"campaign {spec.name!r} finished: " + ", ".join(parts)
-        + f" ({run.wall_s:.1f}s wall, {nworkers} workers{rate}{shared})")
+        + f" ({run.wall_s:.1f}s wall, {run.workers_started} workers started "
+        f"for {run.ran} cells{rate}{shared})")
     return run

@@ -10,6 +10,7 @@ machinery as a RECONNECT restart.
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from typing import Any, Optional
 
@@ -26,8 +27,28 @@ from repro.mana.wrappers import ManaApi
 from repro.simnet.oob import RECOVERY_ID
 
 
+class RecordingApi(ManaApi):
+    """A ManaApi whose public methods record (or replay) their results:
+    one recording method per entry of ``RECORDED_OPS``, bound to the
+    class once, at the bottom of this module."""
+
+    replay_cursor = None
+
+    def compute(self, seconds: Optional[float] = None,
+                flops: Optional[float] = None):
+        if self.replay_log.replaying:
+            # pre-checkpoint compute already happened; re-execution is
+            # free — the compiled-opt cursor also skips the cooperative
+            # zero-advance (nothing downstream can observe it)
+            cursor = self.replay_cursor
+            if cursor is None or cursor.yield_on_compute:
+                yield Advance(0.0)
+            return
+        yield from ManaApi.compute(self, seconds=seconds, flops=flops)
+
+
 def build_recording_api(mrank: ManaRank, log: ReplayLog) -> ManaApi:
-    """A ManaApi whose public methods record (or replay) their results.
+    """A :class:`RecordingApi` for ``mrank`` over ``log``.
 
     When the config selects a compiled replay (``replay_compile`` of
     ``"noop"`` or ``"opt"``) and the log is staged for replaying, the
@@ -41,9 +62,8 @@ def build_recording_api(mrank: ManaRank, log: ReplayLog) -> ManaApi:
             "collectives: a checkpoint inside an alternative-implementation "
             "collective cannot be re-executed consistently"
         )
-    api = ManaApi(mrank)
+    api = RecordingApi(mrank)
     api.replay_log = log
-    api.replay_cursor = None
     if log.replaying and mrank.rt.cfg.replay_compile != "off":
         from repro.mana.ir_bridge import compile_replay, cursor_from_program
 
@@ -64,9 +84,6 @@ def build_recording_api(mrank: ManaRank, log: ReplayLog) -> ManaApi:
                 program, mrank.rt.cfg.replay_compile)
         else:
             api.replay_cursor = compile_replay(mrank, log)
-    for name, (extract, materialize) in RECORDED_OPS.items():
-        setattr(api, name, _bind(api, name, extract, materialize))
-    api.compute = _bind_compute(api)
     return api
 
 
@@ -75,57 +92,41 @@ def build_recording_api(mrank: ManaRank, log: ReplayLog) -> ManaApi:
 _ADV0 = Advance(0.0)
 
 
-def _bind(api: ManaApi, name: str, extract, materialize):
+def _recording(name: str, extract, materialize):
     base = getattr(ManaApi, name)
 
-    def method(*args, **kwargs):
-        log = api.replay_log
+    @functools.wraps(base)
+    def method(self, *args, **kwargs):
+        log = self.replay_log
         if log.replaying:
-            cursor = api.replay_cursor
+            cursor = self.replay_cursor
             if cursor is not None:
                 # compiled replay: the IR interpreter serves the call
                 if cursor.exhausted():
-                    yield from reexec_transition(api)
+                    yield from reexec_transition(self)
                     # fall through: this is the call that was in
                     # progress at checkpoint time; it now runs live
                 else:
                     value, needs_mat, dt = cursor.step(name)
-                    result = (materialize(api, value, args, kwargs)
+                    result = (materialize(self, value, args, kwargs)
                               if needs_mat else value)
                     if dt is not None:
                         yield _ADV0 if dt == 0.0 else Advance(dt)
                     return result
             elif log.exhausted():
-                yield from reexec_transition(api)
+                yield from reexec_transition(self)
                 # fall through, as above
             else:
                 value = log.next(name)
-                result = materialize(api, value, args, kwargs)
+                result = materialize(self, value, args, kwargs)
                 yield Advance(0.0)
                 return result
-        api._call_seq += 1
-        result = yield from base(api, *args, **kwargs)
-        log.record(name, extract(api, result, args, kwargs))
+        self._call_seq += 1
+        result = yield from base(self, *args, **kwargs)
+        log.record(name, extract(self, result, args, kwargs))
         return result
 
     return method
-
-
-def _bind_compute(api: ManaApi):
-    base = ManaApi.compute
-
-    def compute(seconds: Optional[float] = None, flops: Optional[float] = None):
-        if api.replay_log.replaying:
-            # pre-checkpoint compute already happened; re-execution is
-            # free — the compiled-opt cursor also skips the cooperative
-            # zero-advance (nothing downstream can observe it)
-            cursor = api.replay_cursor
-            if cursor is None or cursor.yield_on_compute:
-                yield Advance(0.0)
-            return
-        yield from base(api, seconds=seconds, flops=flops)
-
-    return compute
 
 
 # ----------------------------------------------------------------------
@@ -267,3 +268,5 @@ def reexec_transition(api: ManaApi):
 from repro.mana.replay import _register_comm_ops as _rco  # noqa: E402
 
 _rco()
+for _name, (_extract, _materialize) in RECORDED_OPS.items():
+    setattr(RecordingApi, _name, _recording(_name, _extract, _materialize))

@@ -11,8 +11,8 @@ process and kept here.
 into a memoised one.  Its *key* — ``(name, *args)`` — is plain data: it
 can be collected before anything runs, shipped to another process, and
 the value computed there can be :func:`install`-ed here.  That is how a
-campaign shares one reference run among hundreds of forked cells
-(``repro.campaign.runner``); a caller that finds nothing installed
+campaign shares one reference run among hundreds of cells in forked
+workers (``repro.campaign.runner``); a caller that finds nothing installed
 simply computes the value itself, so nobody has to know whether a
 campaign is running.
 

@@ -105,6 +105,12 @@ def test_parent_sigkill_then_resume_is_bit_identical(
 
     assert proc.returncode == -signal.SIGKILL, \
         "campaign finished before the kill landed; raise CELLS or SLEEP_S"
+    # its workers outlive their cells, not their parent: each reads EOF
+    # on its pipe and leaves
+    deadline = time.monotonic() + 30
+    while _forks_of_campaign(root) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _forks_of_campaign(root) == []
     survivors = store.records()
     before = _journal_lines(store)
     assert 0 < len(survivors) < total, "kill landed outside the run window"
@@ -145,6 +151,20 @@ def test_status_and_report_cli(tmp_path, uninterrupted):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert json.dumps(doc, sort_keys=True) \
         == json.dumps(uninterrupted, sort_keys=True)
+
+
+def _forks_of_campaign(root):
+    """Pids whose command line is the CLI run on ``root`` (a forked
+    worker keeps its parent's)."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                if os.fsencode(str(root)) in fh.read():
+                    pids.append(int(pid))
+        except OSError:
+            continue  # gone between the listing and the read
+    return pids
 
 
 def _parses(line):

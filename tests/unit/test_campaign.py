@@ -27,6 +27,7 @@ from repro.campaign import (
     spec_smoke,
     summarize,
 )
+from repro.campaign import runner
 from repro.errors import CampaignError
 
 
@@ -273,6 +274,9 @@ def test_smoke_campaign_survives_injected_failures(tmp_path):
     # SIGKILL'd worker is "crashed", the flaky cell retries to "ok"
     assert run.counts == {"crashed": 1, "failed": 1, "ok": 7}
     assert run.retries >= 1  # the flaky cell's second attempt
+    # a worker per slot, and one more for each attempt that killed its
+    # own: sigkill twice, flaky once
+    assert run.workers_started == 2 + 3
     recs = run.records
     flaky = [r for r in recs.values()
              if r["params"].get("fail_mode") == "flaky"]
@@ -301,24 +305,86 @@ def test_timeout_kills_hung_cell(tmp_path):
     assert "timeout" in rec["error"]
 
 
-def test_lingering_worker_is_killed_at_its_deadline(tmp_path):
-    """A worker that has delivered its result but does not exit (here a
-    non-daemon thread outlives the cell) must not hold the campaign: it
-    keeps its slot until the cell's deadline, is killed, and the result
-    it delivered is journaled as it came."""
+def test_lingering_cell_does_not_hold_its_slot(tmp_path):
+    """A cell that answers but leaves a non-daemon thread behind used to
+    keep its process, and so its slot, until the deadline.  A worker
+    only has to answer: it takes the next cell with the thread still
+    asleep, and is killed when the campaign has no more for it."""
     spec = CampaignSpec.make(
         name="linger", kind="synthetic",
-        base={"fail_mode": "linger"}, axes={"seed": (0, 1)},
-        timeout_s=1.0, max_attempts=1,
+        base={"fail_mode": "linger"}, axes={"seed": (0, 1, 2, 3)},
+        timeout_s=60.0, max_attempts=1,
     )
     t0 = time.monotonic()
     run = run_campaign(spec, tmp_path / "c", workers=2)
-    assert time.monotonic() - t0 < 30.0  # the thread sleeps for an hour
-    assert run.counts == {"ok": 2}
+    assert time.monotonic() - t0 < 10.0  # well inside one cell's timeout
+    assert run.counts == {"ok": 4} and run.workers_started == 2
     for rec in run.records.values():
         assert rec["attempts"] == 1 and rec["error"] is None
         assert rec["result"] == run_cell(
             "synthetic", {"seed": rec["params"]["seed"]})
+
+
+class _WorkerEnds:
+    """A worker's process and pipe as the parent sees them, for a worker
+    that does ``then`` between the parent's first look at it and its
+    second — whichever of ``is_alive`` and ``poll`` those are."""
+
+    exitcode = -9
+    killed = False
+
+    def __init__(self, sent=None, alive=True, then=None):
+        self.sent, self.alive, self.then = sent, alive, then or {}
+
+    def _look(self, name):
+        seen = getattr(self, name)
+        vars(self).update(self.then)
+        return seen
+
+    def is_alive(self):
+        return self._look("alive")
+
+    def poll(self):
+        return self._look("sent") is not None
+
+    def recv(self):
+        if self.sent is EOFError:
+            raise EOFError
+        return self.sent
+
+    def join(self):
+        self.alive = False  # returns once it is dead
+
+    def kill(self):
+        self.killed = True  # its replacement joins it
+
+
+def _outcome(ends, deadline=float("inf")):
+    worker = runner._Worker(proc=ends, conn=ends, item="cell",
+                            deadline=deadline)
+    return runner._outcome_of(worker, 1.0)
+
+
+def test_outcome_sent_by_a_worker_that_then_died_is_not_a_crash():
+    answer = {"status": "ok", "result": 42}
+    # it answers and is gone inside the parent's one timeslice between
+    # looking at the pipe and looking at the process
+    assert _outcome(_WorkerEnds(
+        then={"sent": answer, "alive": False})) == answer
+    assert _outcome(_WorkerEnds(sent=answer, alive=False)) == answer
+    assert _outcome(_WorkerEnds()) is None  # still working
+
+
+def test_one_crash_message_however_the_death_is_seen():
+    crashed = {"status": "crashed",
+               "error": "worker died with exit code -9"}
+    assert _outcome(_WorkerEnds(alive=False)) == crashed  # exit status
+    assert _outcome(_WorkerEnds(sent=EOFError)) == crashed  # pipe EOF
+    dying = _WorkerEnds(then={"alive": False})  # between the two looks
+    assert _outcome(dying) is None and _outcome(dying) == crashed
+    overdue = _WorkerEnds()
+    assert _outcome(overdue, deadline=0.0)["status"] == "timeout"
+    assert overdue.killed
 
 
 def test_fresh_run_refuses_populated_directory(tmp_path):
