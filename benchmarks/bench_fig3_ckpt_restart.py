@@ -184,6 +184,15 @@ def render(data) -> str:
     return "\n".join(lines)
 
 
+def smoke_rss_ceiling_mb(nranks: int) -> float:
+    """What ``--smoke`` may peak at, in MB of ``ru_maxrss``: linear in
+    the rank count (the interpreter plus ~0.17 MB per rank), 400 MB at
+    2048 ranks, where 297 MB is measured.  A per-rank structure of p
+    entries (p^2 in all: 677 MB at 2048 before the counters went
+    sparse) breaks it."""
+    return 48.0 + 352.0 * nranks / 2048
+
+
 def smoke(nranks: int = 512, rounds: int = 2, steps: int = 12) -> dict:
     """Checkpoint+restart rounds at paper-regime rank count (CI target)."""
     out = checkpoint_rounds(nranks, CORI_HASWELL,
@@ -195,6 +204,7 @@ def smoke(nranks: int = 512, rounds: int = 2, steps: int = 12) -> dict:
 
 def main(argv=None) -> int:
     import argparse
+    import resource
     import time
 
     parser = argparse.ArgumentParser(
@@ -234,11 +244,17 @@ def main(argv=None) -> int:
         point = smoke(args.nranks or 512)
         dt = time.perf_counter() - t0
         ck = point["checkpoints"]
-        print(f"smoke OK: {point['nranks']} ranks, {point['rounds']} "
+        # ru_maxrss is in KB on Linux
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        ceiling_mb = smoke_rss_ceiling_mb(point["nranks"])
+        ok = rss_mb <= ceiling_mb
+        print(f"smoke {'OK' if ok else 'FAILED'}: {point['nranks']} ranks, "
+              f"{point['rounds']} "
               f"ckpt+restart rounds in {dt:.1f}s wall — checkpoint "
               f"{ck[0]['checkpoint_time']:.4f}s, restart "
-              f"{ck[0].get('restart_time', 0.0):.4f}s virtual")
-        return 0
+              f"{ck[0].get('restart_time', 0.0):.4f}s virtual; peak RSS "
+              f"{rss_mb:.0f} MB (ceiling {ceiling_mb:.0f} MB)")
+        return 0 if ok else 1
     data = sweep()
     print(render(data))
     if args.json:

@@ -272,6 +272,7 @@ def run_checkpoint_cycle(mrank: ManaRank):
                 "kernel": image.kernel,
             },
             now=rt.sched.now,
+            checksum=image.checksum,
         )
         mrank.ckpt_done_info = {"nbytes": image.nbytes}
         if tracer.enabled:

@@ -24,10 +24,11 @@ from typing import Any, List, Optional
 from repro.errors import MpiError
 from repro.simmpi.collectives import (
     ALLTOALL_SHORT_MSG,
-    alltoall_mismatch,
+    alltoall_row_sizes,
     bruck_alltoall_rounds,
     bruck_pack,
     bruck_unpack,
+    join_blocks,
 )
 from repro.simmpi.ops import ReductionOp
 from repro.util.serde import SizedBlocks, payload_nbytes
@@ -226,16 +227,16 @@ def allgather(api, comm_vid, me, p, data, seq):
     return blocks[p - me:] + blocks[:p - me]
 
 
-def alltoall(api, comm_vid, me, p, data: List[Any], seq):
+def alltoall(api, comm_vid, me, p, data: Any, seq):
     # the lower half's size switch and round schedule, message for
     # message: Bruck while every block fits ALLTOALL_SHORT_MSG, the
     # pairwise exchange above it; both open on round tag 1 towards
     # me+1, where Bruck catches a row from the other side of the
-    # threshold
+    # threshold (or of the other kind: list against typed)
     if len(data) != p:
         raise MpiError(f"alltoall needs a list of {p} items")
-    sizes = list(map(payload_nbytes, data))
-    longest = max(sizes)
+    held = join_blocks((data[me:], data[:me]))
+    sizes, longest = alltoall_row_sizes(held)
     if longest > ALLTOALL_SHORT_MSG:
         result: List[Any] = [None] * p
         result[me] = data[me]
@@ -245,19 +246,15 @@ def alltoall(api, comm_vid, me, p, data: List[Any], seq):
             yield from api._internal_isend(comm_vid, dst, _tag(seq, i), data[dst])
             result[src], _ = yield from api._internal_recv(comm_vid, src, _tag(seq, i))
         return result
-    held = list(data[me:] + data[:me])
-    sizes = sizes[me:] + sizes[:me]
     k = 1
     for d, cuts in bruck_alltoall_rounds(p):
         part = bruck_pack(cuts, held, sizes)
         yield from api._internal_isend(comm_vid, (me + d) % p, _tag(seq, k), part)
         src = (me - d) % p
         got, _ = yield from api._internal_recv(comm_vid, src, _tag(seq, k))
-        if type(got) is not SizedBlocks:
-            raise alltoall_mismatch(me, longest, src, got)
-        bruck_unpack(cuts, held, sizes, got)
+        bruck_unpack(cuts, held, sizes, got, me, src)
         k += 1
-    return held[me::-1] + held[:me:-1]
+    return join_blocks((held[me::-1], held[:me:-1]))
 
 
 def scan(api, comm_vid, me, p, data, op: ReductionOp, seq):

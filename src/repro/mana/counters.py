@@ -13,74 +13,119 @@ message.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.errors import DrainError
+import numpy as np
+
+from repro.errors import DrainError, RestartError
 
 
 class PairwiseCounters:
-    """One rank's view: bytes sent to / received from every world rank."""
+    """One rank's view: bytes and messages sent to / received from every
+    world rank.
 
-    def __init__(self, nranks: int):
+    Only peers this rank has addressed or heard from have an entry —
+    ``{peer: [bytes, messages]}``; everyone else is an implied
+    ``[0, 0]`` — so an idle rank costs the same in a world of 8 as in
+    one of 8192.  Dense per-world-rank rows exist only while something
+    needs them: the drain's ``alltoall`` row and the image snapshot.
+    """
+
+    def __init__(self, nranks: int, rank: Optional[int] = None):
         self.nranks = nranks
-        self.sent: List[int] = [0] * nranks
-        self.received: List[int] = [0] * nranks
-        #: message counts, kept alongside bytes for diagnostics
-        self.sent_msgs: List[int] = [0] * nranks
-        self.received_msgs: List[int] = [0] * nranks
+        #: the world rank these counters belong to (error messages only)
+        self.rank = rank
+        self.sent: Dict[int, List[int]] = {}
+        self.received: Dict[int, List[int]] = {}
 
     def on_send(self, dst_world: int, nbytes: int) -> None:
-        self.sent[dst_world] += nbytes
-        self.sent_msgs[dst_world] += 1
+        try:
+            entry = self.sent[dst_world]
+        except KeyError:
+            self.sent[dst_world] = [nbytes, 1]
+            return
+        entry[0] += nbytes
+        entry[1] += 1
 
     def on_receive(self, src_world: int, nbytes: int) -> None:
-        self.received[src_world] += nbytes
-        self.received_msgs[src_world] += 1
+        try:
+            entry = self.received[src_world]
+        except KeyError:
+            self.received[src_world] = [nbytes, 1]
+            return
+        entry[0] += nbytes
+        entry[1] += 1
 
     def total_sent(self) -> tuple:
-        return (sum(self.sent), sum(self.sent_msgs))
+        return _totals(self.sent)
 
     def total_received(self) -> tuple:
-        return (sum(self.received), sum(self.received_msgs))
+        return _totals(self.received)
 
-    def sent_pairs(self) -> List[tuple]:
-        """(bytes, messages) sent to each peer — what the drain's
-        alltoall exchanges.  Message counts matter independently of
-        bytes: zero-byte messages (barrier tokens, empty payloads) are
-        invisible to byte accounting alone."""
-        return list(zip(self.sent, self.sent_msgs))
+    def sent_pairs(self) -> np.ndarray:
+        """(bytes, messages) sent to each peer, one row per world rank
+        — the typed row the drain's alltoall exchanges.  Message counts
+        matter independently of bytes: zero-byte messages (barrier
+        tokens, empty payloads) are invisible to byte accounting
+        alone."""
+        return self._dense(self.sent)
 
-    def deficit_from(self, expected_from_each: List[tuple]) -> Dict[int, tuple]:
+    def deficit_from(self, expected_from_each: np.ndarray) -> Dict[int, tuple]:
         """Given each peer's (sent-to-me bytes, messages) from the
-        alltoall, return {peer: (missing bytes, missing messages)} for
-        peers we have not fully heard."""
-        heard = list(zip(self.received, self.received_msgs))
-        if heard == expected_from_each:
-            return {}  # the usual answer, found without a Python-level loop
+        alltoall — row ``i`` is world rank ``i``'s — return
+        {peer: (missing bytes, missing messages)} for peers we have not
+        fully heard."""
+        missing = expected_from_each - self._dense(self.received)
         out: Dict[int, tuple] = {}
-        for peer, (expected, got) in enumerate(zip(expected_from_each, heard)):
-            miss_bytes = expected[0] - got[0]
-            miss_msgs = expected[1] - got[1]
+        # the usual answer is "nobody": only peers that differ are walked
+        for peer in np.flatnonzero(missing.any(axis=1)).tolist():
+            miss_bytes, miss_msgs = missing[peer].tolist()
             if miss_bytes < 0 or miss_msgs < 0:
                 raise DrainError(
                     f"received more than world rank {peer} reports sending "
                     f"({-miss_bytes} bytes / {-miss_msgs} messages over); "
                     "counter accounting is broken"
                 )
-            if miss_bytes > 0 or miss_msgs > 0:
-                out[peer] = (miss_bytes, miss_msgs)
+            out[peer] = (miss_bytes, miss_msgs)
         return out
 
+    def _dense(self, table: Dict[int, List[int]]) -> np.ndarray:
+        """``table`` as a fresh ``(nranks, 2)`` int64 array."""
+        rows = np.zeros((self.nranks, 2), dtype=np.int64)
+        if table:
+            rows[list(table)] = list(table.values())
+        return rows
+
     def snapshot(self) -> dict:
+        # the image keeps four dense lists: image bytes feed the
+        # checkpoint cost model, so a sparse image is a model decision
+        sent = self._dense(self.sent)
+        received = self._dense(self.received)
         return {
-            "sent": list(self.sent),
-            "received": list(self.received),
-            "sent_msgs": list(self.sent_msgs),
-            "received_msgs": list(self.received_msgs),
+            "sent": sent[:, 0].tolist(),
+            "received": received[:, 0].tolist(),
+            "sent_msgs": sent[:, 1].tolist(),
+            "received_msgs": received[:, 1].tolist(),
         }
 
     def restore(self, snap: dict) -> None:
-        self.sent = list(snap["sent"])
-        self.received = list(snap["received"])
-        self.sent_msgs = list(snap["sent_msgs"])
-        self.received_msgs = list(snap["received_msgs"])
+        for key in ("sent", "received", "sent_msgs", "received_msgs"):
+            if len(snap[key]) != self.nranks:
+                raise RestartError(
+                    f"rank {self.rank}: counter snapshot {key!r} covers a "
+                    f"world of {len(snap[key])} ranks, this job has "
+                    f"{self.nranks}: the image belongs to a different job"
+                )
+        # a peer has an entry iff a message was ever counted for it;
+        # its bytes may still be zero (barrier tokens, empty payloads)
+        self.sent = _sparse(snap["sent"], snap["sent_msgs"])
+        self.received = _sparse(snap["received"], snap["received_msgs"])
+
+
+def _totals(table: Dict[int, List[int]]) -> tuple:
+    entries = table.values()
+    return (sum(e[0] for e in entries), sum(e[1] for e in entries))
+
+
+def _sparse(nbytes: List[int], msgs: List[int]) -> Dict[int, List[int]]:
+    return {peer: [nbytes[peer], n] for peer, n in enumerate(msgs) if n}

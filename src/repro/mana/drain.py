@@ -134,9 +134,10 @@ def drain_alltoall(mrank: ManaRank):
     """MANA-2.0 drain: counter alltoall, then local settle."""
     rt = mrank.rt
     lib, task = rt.lib, mrank.task
+    # a typed row in, a typed row out (one (nranks, 2) int64 array each
+    # way): expected[i] = cumulative (bytes, messages) world rank i sent me
     my_sent = mrank.counters.sent_pairs()
     expected = yield from lib.alltoall(task, rt.internal_comm, my_sent)
-    # expected[i] = cumulative (bytes, messages) world-rank i sent to me
     spins = 0
     while True:
         deficit = mrank.counters.deficit_from(expected)

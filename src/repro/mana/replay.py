@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ManaError, RestartError
 from repro.mana.handles import RequestSlot
-from repro.simmpi.constants import REQUEST_NULL
+from repro.simmpi.constants import REQUEST_NULL, Status
 
 
 class ReplayLog:
@@ -114,10 +114,23 @@ def _snapshot(value: Any) -> Any:
     t = type(value)
     if t in _ATOMIC_TYPES:
         return value
-    if t is tuple and _fully_immutable(value):
-        # deepcopy would return the original object too (all elements
-        # copy to themselves), so aliasing is unchanged
-        return value
+    if t is tuple:
+        if _fully_immutable(value):
+            # deepcopy would return the original object too (all
+            # elements copy to themselves), so aliasing is unchanged
+            return value
+        if len(value) == 2 and type(value[1]) is Status:
+            # what ``recv`` returns, the bulk of a point-to-point log:
+            # (payload, Status).  The two share no structure, so copying
+            # them one by one is what deepcopy would build
+            return (_snapshot(value[0]), _snapshot(value[1]))
+    elif t is Status:
+        fields = value.__dict__
+        if all(type(v) in _ATOMIC_TYPES for v in fields.values()):
+            # field-wise, as deepcopy reconstructs a plain object
+            twin = Status.__new__(Status)
+            twin.__dict__.update(fields)
+            return twin
     return copy.deepcopy(value)
 
 

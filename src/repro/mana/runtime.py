@@ -87,7 +87,7 @@ class ManaRank:
         self.vcomms = VirtualCommManager(binding)
         self.vreqs = VirtualRequestManager(binding)
         self.icoll_log = IcollLog()
-        self.counters = PairwiseCounters(rt.nranks)
+        self.counters = PairwiseCounters(rt.nranks, rank)
         self.drain_buffer = DrainBuffer()
         #: blocking-collective completion count per communicator GID —
         #: what the coordinator equalizes (Section III-K)

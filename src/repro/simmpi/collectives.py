@@ -24,12 +24,14 @@ pairwise exchange above it (FFT transposes), as MPICH switches.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import MpiError
 from repro.simmpi.comm import RealComm
 from repro.simmpi.ops import ReductionOp
-from repro.util.serde import SizedBlocks, payload_nbytes
+from repro.util.serde import SizedBlocks, payload_nbytes, typed_block_nbytes
 
 #: tag stride between collective instances; rounds within an instance
 #: occupy tag offsets [0, TAG_STRIDE)
@@ -369,32 +371,85 @@ def bruck_alltoall_rounds(p: int) -> tuple:
     return tuple(rounds)
 
 
-def bruck_pack(cuts: tuple, held: list, sizes: list) -> SizedBlocks:
+def join_blocks(runs: Sequence[Any]) -> Any:
+    """The runs of blocks, concatenated into a new container of their
+    kind: a list, or for typed rows (``(n, k)`` int64 arrays, see
+    :class:`SizedBlocks`) an array.  Always a copy — a message must
+    never alias the row it was cut from, and a basic slice of an array
+    is a view the sender's later rounds would write through."""
+    if type(runs[0]) is np.ndarray:
+        return np.concatenate(runs)
+    out: List[Any] = []
+    for run in runs:
+        out += run
+    return out
+
+
+def alltoall_row_sizes(data: Any) -> tuple:
+    """``(sizes, longest)`` of an ``alltoall`` row: the wire size of each
+    block and the largest.  A typed row has no ``sizes`` (``None``): its
+    blocks all measure ``longest``, and must be short ones."""
+    if type(data) is not np.ndarray:
+        sizes = list(map(payload_nbytes, data))
+        return sizes, max(sizes)
+    if data.ndim != 2 or data.dtype != np.int64:
+        raise MpiError(
+            "a typed alltoall row is a 2-d int64 array, one row per rank; "
+            f"got shape {data.shape}, dtype {data.dtype}"
+        )
+    longest = typed_block_nbytes(data)
+    if longest > ALLTOALL_SHORT_MSG:
+        raise MpiError(
+            f"typed alltoall rows carry short blocks only: {longest} bytes "
+            f"per block exceeds ALLTOALL_SHORT_MSG = {ALLTOALL_SHORT_MSG}"
+        )
+    return None, longest
+
+
+def bruck_pack(cuts: tuple, held: Any, sizes: Optional[list]) -> SizedBlocks:
     """One round's message: the blocks under ``cuts`` with their sizes."""
-    blocks: List[Any] = []
-    nbytes: List[int] = []
-    for cut, _start, _stop in cuts:
-        blocks += held[cut]
-        nbytes += sizes[cut]
-    return SizedBlocks(blocks, nbytes)
+    blocks = join_blocks([held[cut] for cut, _start, _stop in cuts])
+    if sizes is None:
+        return SizedBlocks(blocks)
+    return SizedBlocks(
+        blocks, join_blocks([sizes[cut] for cut, _start, _stop in cuts]))
 
 
-def bruck_unpack(cuts: tuple, held: list, sizes: list, got: SizedBlocks) -> None:
-    """Put the peer's message for this round into the same positions."""
+def bruck_unpack(
+    cuts: tuple, held: Any, sizes: Optional[list], got: Any, me: int, src: int
+) -> None:
+    """Put rank ``src``'s message for this round into the same
+    positions; a message that cannot be one is a typed error."""
+    if type(got) is not SizedBlocks or type(got.blocks) is not type(held):
+        raise alltoall_mismatch(me, src, held, sizes, got)
     for cut, start, stop in cuts:
         held[cut] = got.blocks[start:stop]
-        sizes[cut] = got.sizes[start:stop]
+        if sizes is not None:
+            sizes[cut] = got.sizes[start:stop]
 
 
-def alltoall_mismatch(me: int, longest: int, src: int, got: Any) -> MpiError:
-    """The error for rows on opposite sides of ``ALLTOALL_SHORT_MSG``.
+def alltoall_mismatch(
+    me: int, src: int, held: Any, sizes: Optional[list], got: Any
+) -> MpiError:
+    """The error for rows whose type signatures differ across ranks.
 
-    Both algorithms open with the same exchange (send to ``me + 1``,
-    receive from ``me - 1``, same tag) and their messages differ in
-    type.  If any two ranks disagree then, going round the ring, some
-    rank running Bruck sits right after one running the pairwise
-    exchange, and its first receive is a bare block — a typed error
-    instead of a hang."""
+    Rows on opposite sides of ``ALLTOALL_SHORT_MSG``: both algorithms
+    open with the same exchange (send to ``me + 1``, receive from
+    ``me - 1``, same tag) and their messages differ in type.  If any two
+    ranks disagree then, going round the ring, some rank running Bruck
+    sits right after one running the pairwise exchange, and its first
+    receive is a bare block.  Rows of different kinds (typed and list):
+    every rank runs the same rounds, and some rank's first receive holds
+    the other kind of blocks.  Either way a typed error instead of a
+    hang."""
+    if type(got) is SizedBlocks:
+        return MpiError(
+            f"alltoall rows differ in kind: rank {me} holds "
+            f"{type(held).__name__} blocks, rank {src} shipped "
+            f"{type(got.blocks).__name__} blocks; MPI requires matching "
+            "type signatures across ranks"
+        )
+    longest = typed_block_nbytes(held) if sizes is None else max(sizes)
     return MpiError(
         f"alltoall rows straddle ALLTOALL_SHORT_MSG = {ALLTOALL_SHORT_MSG} "
         f"bytes: rank {me}'s largest block is {longest} bytes, but rank "
@@ -404,7 +459,7 @@ def alltoall_mismatch(me: int, longest: int, src: int, got: Any) -> MpiError:
     )
 
 
-def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
+def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
     """``data[j]`` goes to rank ``j``; returns the blocks received, in
     rank order.
 
@@ -412,7 +467,10 @@ def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
     passes ``p`` blocks, and either all rows keep every block within
     ``ALLTOALL_SHORT_MSG`` bytes (Bruck, ``ceil(log2 p)`` messages per
     rank, blocks forwarded) or none does (pairwise exchange, ``p - 1``
-    messages per rank).  Rows that straddle the threshold raise
+    messages per rank).  A row is a list of blocks or, for short blocks
+    that are k-tuples of ints, a typed ``(p, k)`` int64 array, which
+    comes back as one; the rows of one call are all of one kind.  Rows
+    that straddle the threshold or differ in kind raise
     :class:`MpiError` (see :func:`alltoall_mismatch`)."""
     # hot path: helpers inlined (MANA's drain runs one of these over the
     # whole world per checkpoint round); tag offsets stay below p, so
@@ -422,8 +480,11 @@ def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
         raise MpiError(f"alltoall needs a list of {p} items, got {len(data)}")
     if p > TAG_STRIDE:
         raise MpiError(f"collective round {p - 1} exceeds tag stride")
-    sizes = list(map(payload_nbytes, data))
-    longest = max(sizes)
+    # held[i]: bound for rank me + i before Bruck's rounds, come from
+    # rank me - i after them.  Sizes ride along (SizedBlocks): a block
+    # is measured once, by its owner, however often it is forwarded.
+    held = join_blocks((data[me:], data[:me]))
+    sizes, longest = alltoall_row_sizes(held)
     ctx = comm.coll_ctx
     wr = comm.group.world_ranks
     tag = seq * TAG_STRIDE + 1
@@ -442,21 +503,14 @@ def alltoall(lib, task, comm: RealComm, me: int, data: List[Any], seq: int):
             tag += 1
         return result
 
-    # held[i]: bound for rank me + i before the rounds, come from rank
-    # me - i after them.  Sizes ride along (SizedBlocks): a block is
-    # measured once, by its owner, however often it is forwarded.
-    held = list(data[me:] + data[:me])
-    sizes = sizes[me:] + sizes[:me]
     for d, cuts in bruck_alltoall_rounds(p):
         yield from isend(task, ctx, wr[(me + d) % p], tag,
                          bruck_pack(cuts, held, sizes))
         src = (me - d) % p
         got = yield from wait(task, irecv(task, ctx, wr[src], tag))
-        if type(got) is not SizedBlocks:
-            raise alltoall_mismatch(me, longest, src, got)
-        bruck_unpack(cuts, held, sizes, got)
+        bruck_unpack(cuts, held, sizes, got, me, src)
         tag += 1
-    return held[me::-1] + held[:me:-1]
+    return join_blocks((held[me::-1], held[:me:-1]))
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ epochs.  An aborted cycle calls :meth:`~CheckpointStore.discard_epoch`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.hosts.machine import MachineSpec
 from repro.util.hashing import stable_hash
@@ -51,7 +51,10 @@ class StoredCopy:
     epoch: int
     tier: str
     node: int                 # hosting node, BB_NODE for the burst buffer
-    blob: bytearray           # real bytes (mutable: corruption is real)
+    # real bytes.  The tiers of one image share one immutable ``bytes``
+    # (only the parity accumulator is a private ``bytearray``), so damage
+    # to a copy replaces its blob and never writes through it
+    blob: Union[bytes, bytearray]
 
 
 @dataclass
@@ -195,26 +198,29 @@ class CheckpointStore:
         nbytes: int,
         meta: Optional[Dict[str, Any]] = None,
         now: float = 0.0,
+        checksum: Optional[int] = None,
     ) -> None:
         """Register one rank's fully-written blob on every configured
-        tier and record it in the epoch's (unsealed) manifest."""
+        tier and record it in the epoch's (unsealed) manifest.
+
+        The tiers hold ``blob`` itself, not copies of it.  ``checksum``
+        is its :func:`stable_hash` when the caller already has it."""
         pol = self.policy
         tiers: List[str] = []
         if pol.node_local:
             self._copies[(epoch, rank, "local")] = StoredCopy(
                 rank=rank, epoch=epoch, tier="local",
-                node=self.node_of(rank), blob=bytearray(blob))
+                node=self.node_of(rank), blob=blob)
             tiers.append("local")
         if pol.partner_replica:
             self._copies[(epoch, rank, "partner")] = StoredCopy(
                 rank=rank, epoch=epoch, tier="partner",
-                node=self.partner_node(self.node_of(rank)),
-                blob=bytearray(blob))
+                node=self.partner_node(self.node_of(rank)), blob=blob)
             tiers.append("partner")
         if pol.burst_buffer:
             self._copies[(epoch, rank, "bb")] = StoredCopy(
                 rank=rank, epoch=epoch, tier="bb",
-                node=BB_NODE, blob=bytearray(blob))
+                node=BB_NODE, blob=blob)
             tiers.append("bb")
         if pol.parity_group:
             group = self.group_of(rank)
@@ -230,7 +236,7 @@ class CheckpointStore:
 
         manifest = self._manifests.setdefault(epoch, Manifest(epoch=epoch))
         manifest.entries[rank] = ManifestEntry(
-            checksum=stable_hash(blob),
+            checksum=stable_hash(blob) if checksum is None else checksum,
             blob_len=len(blob),
             nbytes=nbytes,
             tiers=tuple(tiers),
@@ -338,7 +344,7 @@ class CheckpointStore:
                     attempts.append((tier, "missing"))
                 continue
             read_time += self._read_cost(tier, entry.nbytes)
-            blob = bytes(copy.blob)
+            blob = copy.blob
             if stable_hash(blob) == entry.checksum:
                 attempts.append((tier, "ok"))
                 if self.tracer is not None and self.tracer.enabled:
@@ -418,7 +424,7 @@ class CheckpointStore:
                 return None, cost
             cost += (m.net_latency + mentry.nbytes / m.net_bandwidth
                      + m.local_scratch.read_time(mentry.nbytes, self.sharers))
-            mblob = bytes(mcopy.blob)
+            mblob = mcopy.blob
             if stable_hash(mblob) != mentry.checksum:
                 self.counters["verify_failed"] += 1
                 if self.tracer is not None and self.tracer.enabled:
@@ -533,7 +539,9 @@ class CheckpointStore:
                     break
         if target is None or not target.blob:
             return False
-        target.blob[0] ^= 0xFF
+        damaged = bytearray(target.blob)
+        damaged[0] ^= 0xFF
+        target.blob = bytes(damaged)
         self.counters["copies_corrupted"] += 1
         return True
 

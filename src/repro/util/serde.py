@@ -14,7 +14,7 @@ import io
 import pickle
 import struct
 import zlib
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -57,14 +57,28 @@ class SizedBlocks:
     a block never re-walks it.  Both collective layers send this type,
     so sender, receiver and the drain's per-pair counters agree on every
     message's size by construction.
+
+    A *typed* run — an ``(n, k)`` int64 array standing for ``n`` blocks
+    that are k-tuples of ints, the drain's counter rows — has one size
+    per block by construction (:func:`typed_block_nbytes`), so it
+    carries no ``sizes`` and no per-block Python object at all.
     """
 
     __slots__ = ("blocks", "sizes", "nbytes")
 
-    def __init__(self, blocks: Sequence[Any], sizes: Sequence[int]):
+    def __init__(self, blocks: Any, sizes: Optional[Sequence[int]] = None):
         self.blocks = blocks
         self.sizes = sizes
-        self.nbytes = sum(sizes)
+        if sizes is None:
+            self.nbytes = len(blocks) * typed_block_nbytes(blocks)
+        else:
+            self.nbytes = sum(sizes)
+
+
+def typed_block_nbytes(blocks: np.ndarray) -> int:
+    """Wire size of each block of a typed run: what
+    :func:`payload_nbytes` gives the k-tuple of ints a row stands for."""
+    return 8 + 8 * blocks.shape[1]
 
 
 def payload_nbytes(obj: Any) -> int:

@@ -1,9 +1,10 @@
 """Unit tests for MANA's component modules: virtual tables, counters,
 drain buffer, request manager, Fortran constants, GIDs, FS register."""
 
+import numpy as np
 import pytest
 
-from repro.errors import DrainError, ManaError
+from repro.errors import DrainError, ManaError, RestartError
 from repro.hosts import CORI_HASWELL, CORI_KNL, TESTBOX
 from repro.mana.buffers import BufferedMessage, DrainBuffer
 from repro.mana.config import FsTier, ManaConfig, VtableBackend
@@ -22,6 +23,7 @@ from repro.simmpi.comm import RealComm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, Status
 from repro.simmpi.group import Group
 from repro.simmpi.request import RealRequest, RequestKind
+from repro.util.serde import dumps
 
 CFG = ManaConfig.feature_2pc()
 
@@ -87,27 +89,27 @@ class TestPairwiseCounters:
         c.on_send(2, 100)
         c.on_send(2, 50)
         c.on_receive(1, 30)
-        assert c.sent[2] == 150 and c.sent_msgs[2] == 2
-        assert c.received[1] == 30
+        assert c.sent == {2: [150, 2]}
+        assert c.received == {1: [30, 1]}
         assert c.total_sent() == (150, 2) and c.total_received() == (30, 1)
 
     def test_deficit_computation(self):
         c = PairwiseCounters(3)
         c.on_receive(0, 40)
         # what each peer claims it sent to me: (bytes, messages)
-        expected = [(100, 2), (0, 0), (25, 1)]
+        expected = np.array([(100, 2), (0, 0), (25, 1)])
         assert c.deficit_from(expected) == {0: (60, 1), 2: (25, 1)}
 
     def test_zero_byte_messages_are_visible(self):
         # a barrier token has zero bytes but must still be drained
         c = PairwiseCounters(2)
-        assert c.deficit_from([(0, 0), (0, 1)]) == {1: (0, 1)}
+        assert c.deficit_from(np.array([(0, 0), (0, 1)])) == {1: (0, 1)}
 
     def test_over_receive_is_an_error(self):
         c = PairwiseCounters(2)
         c.on_receive(1, 10)
         with pytest.raises(DrainError, match="more than"):
-            c.deficit_from([(0, 0), (5, 1)])
+            c.deficit_from(np.array([(0, 0), (5, 1)]))
 
     def test_snapshot_restore_roundtrip(self):
         c = PairwiseCounters(3)
@@ -117,6 +119,69 @@ class TestPairwiseCounters:
         c2 = PairwiseCounters(3)
         c2.restore(snap)
         assert c2.sent == c.sent and c2.received == c.received
+
+    def test_snapshot_keeps_its_dense_format_through_the_sparse_form(self):
+        # the image format did not change: four dense per-rank lists of
+        # plain ints, byte-identical after restore -> snapshot
+        c = PairwiseCounters(5)
+        c.on_send(3, 100)
+        c.on_send(3, 28)
+        c.on_send(1, 0)            # a zero-byte message: bytes 0, messages 1
+        c.on_receive(4, 0)
+        c.on_receive(0, 7)
+        snap = c.snapshot()
+        assert snap == {
+            "sent": [0, 0, 0, 128, 0],
+            "received": [7, 0, 0, 0, 0],
+            "sent_msgs": [0, 1, 0, 2, 0],
+            "received_msgs": [1, 0, 0, 0, 1],
+        }
+        assert list(snap) == ["sent", "received", "sent_msgs", "received_msgs"]
+        assert all(type(v) is int for row in snap.values() for v in row)
+        c2 = PairwiseCounters(5)
+        c2.restore(snap)
+        assert c2.sent == {1: [0, 1], 3: [128, 2]}
+        assert c2.received == {0: [7, 1], 4: [0, 1]}
+        assert dumps(c2.snapshot()) == dumps(snap)
+        assert c2.sent_pairs().tolist() == c.sent_pairs().tolist()
+        # the restored zero-byte message still has to be drained
+        expected = np.zeros((5, 2), dtype=np.int64)
+        expected[0], expected[4] = (7, 1), (0, 2)
+        assert c2.deficit_from(expected) == {4: (0, 1)}
+
+    def test_restore_rejects_another_world_size(self):
+        # an image from a different job: a typed error, never a drain
+        # that indexes or "balances" against the wrong peers
+        snap = PairwiseCounters(3).snapshot()
+        c = PairwiseCounters(4, rank=2)
+        c.on_send(1, 10)
+        with pytest.raises(RestartError, match=r"rank 2\b.* 3 ranks.* has 4\b"):
+            c.restore(snap)
+        assert c.sent == {1: [10, 1]}   # nothing half-adopted
+
+    def test_sent_pairs_is_one_fresh_typed_row(self):
+        c = PairwiseCounters(4)
+        c.on_send(2, 100)
+        row = c.sent_pairs()
+        assert row.shape == (4, 2) and row.dtype == np.int64
+        assert row.tolist() == [[0, 0], [0, 0], [100, 1], [0, 0]]
+        row.fill(9)                     # the caller's to scribble on
+        assert c.sent_pairs().tolist() == [[0, 0], [0, 0], [100, 1], [0, 0]]
+
+    def test_an_idle_rank_costs_nothing_per_world_rank(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            c = PairwiseCounters(1_000_000)
+            c.on_send(999_999, 8)
+            c.on_receive(123_456, 8)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 4096
+        assert c.total_sent() == (8, 1)
 
 
 class TestDrainBuffer:

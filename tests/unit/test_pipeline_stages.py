@@ -188,8 +188,8 @@ class TestDrainAccounting:
         acct.sent(1, 100)
         acct.sent(1, 50)
         acct.received(1, 60)
-        assert mrank.counters.sent[1] == 150
-        assert mrank.counters.received[1] == 60
+        assert mrank.counters.sent[1][0] == 150
+        assert mrank.counters.received[1][0] == 60
 
     def test_emits_events_when_traced(self):
         mrank = make_rank()
@@ -269,9 +269,8 @@ class TestInFlightHighWater:
         assert net.in_flight_count() == 0       # and fully drained
         # per-pair fabric ledger agrees with MANA's drain counters
         rt = session.rt
-        app_pair_bytes = sum(
-            rt.ranks[0].counters.sent
-        ) + sum(rt.ranks[1].counters.sent)
+        app_pair_bytes = (rt.ranks[0].counters.total_sent()[0]
+                          + rt.ranks[1].counters.total_sent()[0])
         fabric_app_bytes = sum(
             nb for (s, d), nb in net.stats.pair_bytes.items()
         )

@@ -68,6 +68,49 @@ def test_deepcopy_equivalence_for_aliased_graphs():
     assert got["a"] == [1, 2]     # external aliasing severed
 
 
+def test_recv_results_are_isolated_without_a_deepcopy(monkeypatch):
+    """``(payload, Status)`` — what every ``recv`` records — is copied
+    field-wise: mutating the returned status or payload after the call
+    never reaches the log, and ``copy.deepcopy`` runs only for a payload
+    that needs it."""
+    import copy
+    import pickle
+
+    from repro.simmpi.constants import Status
+
+    deep = []
+    real = copy.deepcopy
+    monkeypatch.setattr(copy, "deepcopy",
+                        lambda v, *a: deep.append(v) or real(v, *a))
+    log = ReplayLog()
+    status = Status(source=3, tag=7, count=24)
+    payload = [0, 1, 2]
+    log.record("recv", (5, status))
+    log.record("recv", (payload, status))
+    log.record("probe", status)
+    assert deep == [payload]
+    status.source, status.cancelled = -9, True   # the app reuses both
+    payload.append(99)
+    log.replaying = True
+    want = Status(source=3, tag=7, count=24)
+    assert log.next("recv") == (5, want)
+    assert log.next("recv") == ([0, 1, 2], want)
+    assert log.next("probe") == want
+    # what deepcopy would have built, to the pickled byte
+    for value in ((5, want), ([1], want), want):
+        assert pickle.dumps(_snapshot(value)) == pickle.dumps(real(value))
+
+
+def test_a_status_holding_a_mutable_field_still_deepcopies():
+    from repro.simmpi.constants import Status
+
+    status = Status(source=1)
+    status.count = [24]           # not what the library builds
+    got = _snapshot((None, status))
+    status.count.append(0)
+    assert got[1].count == [24]
+
+
 def test_record_rejected_while_replaying():
     log = ReplayLog()
     log.record("send", None)

@@ -281,6 +281,42 @@ class TestFaultSurface:
         assert not store.recover(0, 1).ok
         assert store.counters["verify_failed"] == 1
 
+    def test_tiers_share_the_blob_they_were_handed(self):
+        store = CheckpointStore(TESTBOX_MN, 4, StoragePolicy.ladder())
+        blob = _blob(0)
+        store.put(0, 1, blob, nbytes=1 << 20, checksum=stable_hash(blob))
+        assert all(store._copies[(1, 0, t)].blob is blob
+                   for t in ("local", "partner", "bb"))
+        assert store.manifest(1).entries[0].checksum == stable_hash(blob)
+
+    @pytest.mark.parametrize("policy,tier,attempts", [
+        ("ladder", "local", (("local", "verify_failed"), ("partner", "ok"))),
+        ("ladder", "partner", (("local", "ok"),)),
+        ("ladder", "bb", (("local", "ok"),)),
+        ("xor4", "local", (("local", "verify_failed"), ("parity", "ok"))),
+        ("xor4", "parity", (("local", "ok"),)),
+    ])
+    def test_corruption_replaces_one_copy_and_never_writes_through(
+            self, policy, tier, attempts):
+        """The tiers of an image share one blob, so damage must land on
+        the targeted copy alone: the others stay checksum-valid and
+        ``recover`` falls through to them in ladder order."""
+        store = _filled_store(policy_by_name(policy))
+        handed = {r: store._copies[(1, r, "local")].blob for r in range(4)}
+        assert store.corrupt_copy(0, tier=tier)
+        for (epoch, rank, t), copy in store._copies.items():
+            intact = stable_hash(copy.blob) == store.manifest(1).entries[rank].checksum
+            assert intact == ((rank, t) != (0, tier)), (rank, t)
+        assert all(handed[r] == _blob(r) for r in range(4))
+        res = store.recover(0, 1)
+        assert res.ok and res.blob == _blob(0)
+        assert res.attempts == attempts
+        assert res.source == attempts[-1][0]
+        assert store.counters["verify_failed"] == len(attempts) - 1
+        # the other members' copies still rebuild / read cleanly
+        for r in range(1, 4):
+            assert store.recover(r, 1).source == "local"
+
     def test_summary_shape(self):
         store = _filled_store(StoragePolicy.partner())
         s = store.summary()
