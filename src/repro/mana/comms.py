@@ -38,6 +38,9 @@ class CommMeta:
     world_ranks: Tuple[int, ...]
     gid: int
     name: str
+    #: the owning rank's own index in ``world_ranks`` — its comm-local
+    #: rank; derived, so it is not part of the image
+    me: int
     freed: bool = False
     #: MANA-level collective sequence counter for the PT2PT_ALWAYS
     #: alternative collective implementation (upper-half state: it must
@@ -58,8 +61,10 @@ class CreationRecord:
 class VirtualCommManager:
     """One rank's communicator tables, active list, and creation log."""
 
-    def __init__(self, binding):
+    def __init__(self, binding, rank: int):
         self._cfg = binding.cfg
+        #: the world rank these tables belong to
+        self.rank = rank
         self.table: VirtualTable[RealComm] = VirtualTable("vcomm", binding)
         self.meta: Dict[int, CommMeta] = {}
         self.creation_log: List[CreationRecord] = []
@@ -80,6 +85,7 @@ class VirtualCommManager:
             world_ranks=world_ranks,
             gid=comm_gid_from_world_ranks(world_ranks),
             name=name,
+            me=world_ranks.index(self.rank),
         )
         if record is not None:
             record.result_vid = vid
@@ -159,7 +165,8 @@ class VirtualCommManager:
 
     def restore(self, snap: dict) -> None:
         self.meta = {
-            int(vid): CommMeta(**m) for vid, m in snap["meta"].items()
+            int(vid): CommMeta(**m, me=m["world_ranks"].index(self.rank))
+            for vid, m in snap["meta"].items()
         }
         self.creation_log = [CreationRecord(**r) for r in snap["creation_log"]]
         self.world_vid = snap["world_vid"]

@@ -93,6 +93,14 @@ class PairwiseCounters:
         """``table`` as a fresh ``(nranks, 2)`` int64 array."""
         rows = np.zeros((self.nranks, 2), dtype=np.int64)
         if table:
+            bad = [peer for peer in table if not 0 <= peer < self.nranks]
+            if bad:
+                # numpy would fold a negative key onto a real rank's row
+                raise DrainError(
+                    f"rank {self.rank}: counter entry for peer {bad[0]} "
+                    f"is outside the world [0, {self.nranks}); counter "
+                    "accounting is broken"
+                )
             rows[list(table)] = list(table.values())
         return rows
 

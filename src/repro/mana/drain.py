@@ -27,7 +27,7 @@ from repro.errors import DrainError
 from repro.mana.buffers import BufferedMessage
 from repro.mana.requests import VReqKind
 from repro.mana.runtime import ManaRank
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
+from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.simnet.oob import COORDINATOR_ID
 
 #: bound on progress-free drain iterations before declaring failure
@@ -104,11 +104,15 @@ def _test_pending_irecvs(mrank: ManaRank) -> bool:
         if entry.drain_counted:
             continue  # already accounted in an earlier sweep
         req = entry.recv_request()
+        # a receive from MPI_PROC_NULL completes with nobody having
+        # sent: counting it would leave a deficit no peer can balance
+        counted = entry.peer is not PROC_NULL
         if use_get_status:
             flag, payload, st = lib.request_get_status(task, req)
             if not flag:
                 continue
-            mrank.counters.on_receive(st.source, st.count)
+            if counted:
+                mrank.counters.on_receive(st.source, st.count)
             entry.drain_counted = True
             progressed = True
             continue
@@ -116,7 +120,8 @@ def _test_pending_irecvs(mrank: ManaRank) -> bool:
         if not flag:
             continue
         st = req.status  # world-rank source (endpoint-level status)
-        mrank.counters.on_receive(st.source, st.count)
+        if counted:
+            mrank.counters.on_receive(st.source, st.count)
         real_comm, _ = mrank.vcomms.lookup(entry.comm_vid)
         user_status = lib.status_for_user(real_comm, st)
         if entry.kind is VReqKind.PRECV:

@@ -19,10 +19,12 @@ class DrainAccounting:
     def __init__(self, mrank: ManaRank):
         self.mrank = mrank
         self._tracer = mrank.rt.sched.tracer
+        #: the rank's counters (``restore`` refills them in place)
+        self._counters = mrank.counters
 
     def sent(self, dst_world: int, nbytes: int) -> None:
         """Count an application send toward the drain's expectations."""
-        self.mrank.counters.on_send(dst_world, nbytes)
+        self._counters.on_send(dst_world, nbytes)
         if self._tracer.enabled:
             self._tracer.emit(
                 "drain_accounting", "sent", rank=self.mrank.rank,
@@ -30,8 +32,11 @@ class DrainAccounting:
             )
 
     def received(self, src_world: int, nbytes: int) -> None:
-        """Count an application receive against the drain's deficit."""
-        self.mrank.counters.on_receive(src_world, nbytes)
+        """Count an application receive against the drain's deficit.
+
+        Callers skip receives whose peer is ``MPI_PROC_NULL``: nobody
+        sent them, so no send counter anywhere would balance the entry."""
+        self._counters.on_receive(src_world, nbytes)
         if self._tracer.enabled:
             self._tracer.emit(
                 "drain_accounting", "received", rank=self.mrank.rank,

@@ -23,34 +23,40 @@ class LowerHalfCosting:
         self.mrank = mrank
         self.binding = mrank.rt.binding
         self._tracer = mrank.rt.sched.tracer
-        #: (lower_calls, vreq_ops, pt2pt) -> (base cost, effective lower
-        #: calls); the cost model is pure in the binding, fixed for the
-        #: life of the stage, so each flag combination is computed once
-        #: (same float-op order as the open-coded form)
+        self._stats = mrank.stats
+        #: (lower_calls, lookup_cost, vreq_ops, pt2pt) -> (cost,
+        #: effective lower calls, shared immutable Advance): the cost
+        #: model is pure in the binding, fixed for the life of the
+        #: stage, so everything one charge needs is computed once per
+        #: call shape (same float-op order as the open-coded form) and
+        #: sits behind one probe
         self._memo: dict = {}
-        #: cost -> shared immutable Advance (see :meth:`wrapper_advance`)
-        self._adv_memo: dict = {}
 
-    def wrapper_cost(
+    def wrapper_advance(
         self,
         lower_calls: int = 1,
         lookup_cost: float = 0.0,
         vreq_ops: int = 0,
         pt2pt: bool = False,
-    ) -> float:
-        """One wrapper invocation's modeled software cost (Fig. 1 body).
+    ) -> Advance:
+        """Charge one wrapper invocation's modeled software cost (Fig. 1
+        body) to the rank's overhead telemetry; returns the ``Advance``
+        the caller must yield.
 
-        Accumulates into the rank's overhead telemetry as a side effect
-        and returns the virtual seconds the caller must ``Advance``."""
-        key = (lower_calls, vreq_ops, pt2pt)
+        Advance syscalls are immutable, and call shapes recur (a HASH
+        table's lookup cost is one constant, a MAP table's one value per
+        table size), so the charge is one memo hit: the cost, the
+        effective lower-half call count and one shared ``Advance``."""
+        key = (lower_calls, lookup_cost, vreq_ops, pt2pt)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = self._cost_and_calls(
+            base, lower_calls = self._cost_and_calls(
                 self.binding, lower_calls, vreq_ops, pt2pt
             )
-        base, lower_calls = hit
-        cost = base + lookup_cost
-        st = self.mrank.stats
+            cost = base + lookup_cost
+            hit = self._memo[key] = (cost, lower_calls, Advance(cost))
+        cost, lower_calls, adv = hit
+        st = self._stats
         st.overhead_time += cost
         st.lower_half_calls += lower_calls
         if self._tracer.enabled:
@@ -58,7 +64,7 @@ class LowerHalfCosting:
                 "lower_half_costing", "charge", rank=self.mrank.rank,
                 cost=cost, lower_calls=lower_calls, vreq_ops=vreq_ops,
             )
-        return cost
+        return adv
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -94,28 +100,7 @@ class LowerHalfCosting:
 
         The IR constant folder's window into the same cost model: no
         telemetry side effects, no trace emission, bit-identical floats
-        to what :meth:`wrapper_cost` charges for the same shape."""
+        to what :meth:`wrapper_advance` charges for the same shape."""
         return LowerHalfCosting._cost_and_calls(
             binding, lower_calls, vreq_ops, pt2pt
         )[0]
-
-    def memo_snapshot(self) -> dict:
-        """A copy of the resolved cost memo (telemetry / CLI stats)."""
-        return dict(self._memo)
-
-    def wrapper_advance(
-        self,
-        lower_calls: int = 1,
-        lookup_cost: float = 0.0,
-        vreq_ops: int = 0,
-        pt2pt: bool = False,
-    ) -> Advance:
-        """:meth:`wrapper_cost` packaged as a shared ``Advance``.
-
-        Advance syscalls are immutable, and memoized costs recur, so the
-        wrapper's charge can reuse one object per distinct cost value."""
-        cost = self.wrapper_cost(lower_calls, lookup_cost, vreq_ops, pt2pt)
-        adv = self._adv_memo.get(cost)
-        if adv is None:
-            adv = self._adv_memo[cost] = Advance(cost)
-        return adv

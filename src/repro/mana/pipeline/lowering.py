@@ -52,42 +52,48 @@ class SemanticLowering:
     def __init__(self, api, gate: TwoPhaseGate, virt: Virtualization,
                  cost: LowerHalfCosting, acct: DrainAccounting):
         self.api = api
+        # the library and the task are read at use, through ``rt`` and
+        # ``mrank``: ``rt.lib`` is replaced by every restart, and
+        # ``mrank.task`` is assigned only after the pipeline is built
         self.mrank = api.mrank
+        self.rt = api.rt
         self.cfg = api.cfg
-        self.binding = api.binding
         self.gate = gate
         self.virt = virt
         self.cost = cost
         self.acct = acct
+        #: Fortran named-constant translation (Section III-F)
+        self._resolve = api.mrank.fortran.resolve
+        #: the pause between two fruitless polls of a wait loop
+        self._poll_gap = Advance(
+            api.binding.mana_sw_time(api.cfg.overheads.wait_poll_gap))
 
     # ------------------------------------------------------------------
     # point-to-point
     # ------------------------------------------------------------------
     def isend(self, data, dest, tag: int = 0, comm: Optional[int] = None):
-        dest = self.api._resolve(dest)
-        tag = self.api._resolve(tag)
-        validate_tag(tag)
-        slot = yield from self.isend_impl(data, dest, tag, comm)
-        return slot
+        return self.isend_impl(data, self._resolve(dest), self._resolve(tag),
+                               comm)
 
     def isend_impl(self, data, dest, tag, comm: Optional[int],
                    internal: bool = False):
+        """The send body ``isend``, ``send``, ``sendrecv`` and the
+        alternative collectives share (callers resolve Fortran
+        constants; the application tag is validated here, once)."""
         if not internal:
             validate_tag(tag)
         vid, real, lc = self.virt.lookup_comm(comm)
-        vreq_ops = 1 if self.cfg.virtualize_requests else 0
-        yield Advance(
-            self.cost.wrapper_cost(lower_calls=1, lookup_cost=lc,
-                                   vreq_ops=vreq_ops, pt2pt=True)
-        )
-        req = yield from self.api._lib.isend(self.api._task, real, dest, tag, data)
+        virtualize = self.cfg.virtualize_requests
+        yield self.cost.wrapper_advance(1, lc, 1 if virtualize else 0, True)
+        req = yield from self.rt.lib.isend(self.mrank.task, real, dest, tag,
+                                           data)
         if dest is not PROC_NULL:
-            dst_world = real.world_rank(dest)
-            self.acct.sent(dst_world, payload_nbytes(data))
-        if self.cfg.virtualize_requests:
+            # the bytes the lower half just sized
+            self.acct.sent(real.world_rank(dest), req.nbytes)
+        if virtualize:
             entry, _c = self.virt.create_request(
-                VReqKind.ISEND, vid, real=req, peer=dest, tag=tag,
-                created_call=self.api._call_seq,
+                VReqKind.ISEND, vid, req, dest, tag, None,
+                self.api._call_seq,
             )
             return RequestSlot(entry.vid)
         return RequestSlot(req)
@@ -97,31 +103,25 @@ class SemanticLowering:
 
         The eager lower half completes sends locally, so one test
         suffices; the request is retired immediately."""
-        dest = self.api._resolve(dest)
-        tag = self.api._resolve(tag)
-        validate_tag(tag)
-        slot = yield from self.isend_impl(data, dest, tag, comm)
-        flag, _payload, _st = yield from self.test_once(slot)
+        slot = yield from self.isend_impl(
+            data, self._resolve(dest), self._resolve(tag), comm)
+        flag, _payload, _st = yield from self.test(slot)
         if not flag:
             raise ManaError("eager send did not complete locally")
         return None
 
-    def irecv(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None):
-        slot = yield from self.irecv_impl(source, tag, comm)
-        return slot
-
-    def irecv_impl(self, source, tag, comm: Optional[int],
-                   internal: bool = False):
-        source = self.api._resolve(source)
-        tag = self.api._resolve(tag)
+    def irecv(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None,
+              internal: bool = False):
+        source = self._resolve(source)
+        tag = self._resolve(tag)
         if not internal:
             validate_tag(tag)
         vid, real, lc = self.virt.lookup_comm(comm)
         if not self.cfg.virtualize_requests:
-            yield self.cost.wrapper_advance(1, lc, 0, pt2pt=True)
-            req = self.api._lib.irecv(self.api._task, real, source, tag)
+            yield self.cost.wrapper_advance(1, lc, 0, True)
+            req = self.rt.lib.irecv(self.mrank.task, real, source, tag)
             return RequestSlot(req)
-        yield self.cost.wrapper_advance(1, lc, 1, pt2pt=True)
+        yield self.cost.wrapper_advance(1, lc, 1, True)
         # consult the drained-message buffer first: bytes drained at the
         # last checkpoint must be delivered before fresh lower-half ones
         src_world = (
@@ -133,28 +133,31 @@ class SemanticLowering:
             else self.mrank.drain_buffer.match(vid, src_world, tag)
         )
         entry, _c = self.virt.create_request(
-            VReqKind.IRECV, vid, real=None, peer=source, tag=tag,
-            created_call=self.api._call_seq,
+            VReqKind.IRECV, vid, None, source, tag, None, self.api._call_seq,
         )
+        lib = self.rt.lib
         if hit is not None:
             payload, st = hit
-            st = self.api._lib.status_for_user(real, st)
-            entry.real = NullMark(payload, st)
+            entry.real = NullMark(payload, lib.status_for_user(real, st))
         else:
-            entry.real = self.api._lib.irecv(self.api._task, real, source, tag)
+            entry.real = lib.irecv(self.mrank.task, real, source, tag)
         return RequestSlot(entry.vid)
 
     def recv(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None):
         """MPI_Recv as Irecv + Test polling (never blocks in the lower
         half, so a checkpoint can interpose between polls)."""
-        slot = yield from self.irecv_impl(source, tag, comm)
-        payload, status = yield from self.wait_impl(slot, "recv")
+        slot = yield from self.irecv(source, tag, comm)
+        payload, status = yield from self.wait(slot, "recv")
         return payload, status
 
     # ------------------------------------------------------------------
-    def test_once(self, slot: RequestSlot):
-        """One MPI_Test through the tables; no check-in, no polling."""
-        if slot.is_null:
+    def test(self, slot: RequestSlot):
+        """One MPI_Test through the tables; no check-in, no polling.
+
+        A completed receive is counted for the drain unless its peer is
+        ``MPI_PROC_NULL``: nobody sent it, so no peer's send counter
+        will ever balance it."""
+        if slot.value is REQUEST_NULL:
             yield Advance(0.0)
             return True, None, None
         if not self.cfg.virtualize_requests:
@@ -163,41 +166,42 @@ class SemanticLowering:
             # requests cannot work without virtualization (Section III-A)
             req = slot.value
             yield self.cost.wrapper_advance(1)
-            flag, payload = self.api._lib.test(self.api._task, req)
+            flag, payload = self.rt.lib.test(self.mrank.task, req)
             if flag:
                 st = req.status
-                if req.kind.value == "recv" and st is not None:
+                if (req.kind.value == "recv" and st is not None
+                        and req.source is not PROC_NULL):
                     self.acct.received(st.source, st.count)
                 slot.value = REQUEST_NULL
                 return True, payload, st
             return False, None, None
 
         entry, lc = self.virt.lookup_request(slot.value)
-        yield self.cost.wrapper_advance(1, lookup_cost=lc)
-        if entry.kind in (VReqKind.PSEND, VReqKind.PRECV):
+        yield self.cost.wrapper_advance(1, lc)
+        kind = entry.kind
+        if kind is VReqKind.PSEND or kind is VReqKind.PRECV:
             result = yield from self.test_persistent(entry)
             return result
-        if isinstance(entry.real, NullMark):
+        req = entry.real
+        if req.__class__ is NullMark:
             # two-step retirement, step two (Section III-A): the request
             # completed internally; now that the application handed us
             # its slot, finish the retirement
-            payload, st = entry.real.payload, entry.real.status
             self.virt.retire_request(entry)
             slot.value = REQUEST_NULL
-            return True, payload, st
-        req = entry.real
+            return True, req.payload, req.status
         if req is None:
             raise ManaError(f"vreq {entry.vid} has no lower-half request bound")
-        flag, payload = self.api._lib.test(self.api._task, req)
+        lib = self.rt.lib
+        flag, payload = lib.test(self.mrank.task, req)
         if not flag:
             return False, None, None
         st = req.status
-        vid_comm = entry.comm_vid
-        if entry.kind is VReqKind.IRECV and st is not None:
-            if not entry.drain_counted:
+        if kind is VReqKind.IRECV and st is not None:
+            if not entry.drain_counted and entry.peer is not PROC_NULL:
                 self.acct.received(st.source, st.count)
-            _vid, real_comm, _lc = self.virt.lookup_comm(vid_comm)
-            st = self.api._lib.status_for_user(real_comm, st)
+            _vid, real_comm, _lc = self.virt.lookup_comm(entry.comm_vid)
+            st = lib.status_for_user(real_comm, st)
         self.virt.retire_request(entry)
         slot.value = REQUEST_NULL
         return True, payload, st
@@ -216,24 +220,21 @@ class SemanticLowering:
         if not entry.p_active:
             yield Advance(0.0)
             return True, None, None  # inactive persistent: MPI says done
-        flag, payload = self.api._lib.test(self.api._task, entry.real)
+        lib = self.rt.lib
+        flag, payload = lib.test(self.mrank.task, entry.real)
         if not flag:
             return False, None, None
         st = entry.real.current.status
         if entry.kind is VReqKind.PRECV and st is not None:
-            if not entry.drain_counted:
+            if not entry.drain_counted and entry.peer is not PROC_NULL:
                 self.acct.received(st.source, st.count)
             _vid, real_comm, _lc = self.virt.lookup_comm(entry.comm_vid)
-            st = self.api._lib.status_for_user(real_comm, st)
+            st = lib.status_for_user(real_comm, st)
         entry.p_active = False
         entry.drain_counted = False
         return True, payload, st
 
-    def test(self, slot: RequestSlot):
-        result = yield from self.test_once(slot)
-        return result
-
-    def wait_impl(self, slot: RequestSlot, opname: str):
+    def wait(self, slot: RequestSlot, opname: str = "wait"):
         """MPI_Wait as a loop around MPI_Test (Section III item 1).
 
         After a few fruitless polls the process parks until either the
@@ -242,50 +243,47 @@ class SemanticLowering:
         MANA's test loop without simulating every idle poll, and keeping
         application deadlocks detectable as deadlocks.
         """
-        ov = self.cfg.overheads
-        sched = self.api.rt.sched
+        mrank = self.mrank
+        gate = self.gate
         polls = 0
-        if self.cfg.virtualize_requests and not slot.is_null:
+        if self.cfg.virtualize_requests and slot.value is not REQUEST_NULL:
             entry, _c = self.virt.lookup_request(slot.value)
-            self.mrank.current_wait = ("request", entry)
+            mrank.current_wait = ("request", entry)
         try:
-            result = yield from self._wait_loop(slot, opname, sched, ov, polls)
-            return result
-        finally:
-            self.mrank.current_wait = None
-
-    def _wait_loop(self, slot, opname, sched, ov, polls):
-        while True:
-            flag, payload, st = yield from self.test_once(slot)
-            if flag:
-                return payload, st
-            polls += 1
-            if self.gate.intent_pending:
-                if self.gate.must_checkin_blocked(polls):
-                    yield from self.gate.blocked(opname)
-                    polls = 0
+            while True:
+                flag, payload, st = yield from self.test(slot)
+                if flag:
+                    return payload, st
+                polls += 1
+                if gate.intent_pending:
+                    if gate.must_checkin_blocked(polls):
+                        yield from gate.blocked(opname)
+                        polls = 0
+                        continue
+                    # while a checkpoint is pending, keep polling (never
+                    # idle-park): the blocked-checkin budget must be
+                    # reached so the coordinator hears from us
+                    yield self._poll_gap
                     continue
-                # while a checkpoint is pending, keep polling (never
-                # idle-park): the blocked-checkin budget must be reached
-                # so the coordinator hears from us
-                yield Advance(self.binding.mana_sw_time(ov.wait_poll_gap))
-                continue
-            if polls < self.gate.idle_poll_limit:
-                yield Advance(self.binding.mana_sw_time(ov.wait_poll_gap))
-                continue
-            # idle-park until completion or a checkpoint-intent nudge
-            req = self.pending_real_request(slot)
-            if req is None or req.done:
-                yield Advance(self.binding.mana_sw_time(ov.wait_poll_gap))
-                continue
-            proc = self.api._task.proc
-            req.waiter = proc
-            if req.kind is RequestKind.COLL:
-                req.on_complete(lambda _r, p=proc: sched.try_wake(p))
-            self.mrank.idle_wait_parked = True
-            yield Park(f"MPI_Wait({opname}) poll-idle rank {self.mrank.rank}")
-            self.mrank.idle_wait_parked = False
-            req.waiter = None
+                if polls < gate.idle_poll_limit:
+                    yield self._poll_gap
+                    continue
+                # idle-park until completion or a checkpoint-intent nudge
+                req = self.pending_real_request(slot)
+                if req is None or req.done:
+                    yield self._poll_gap
+                    continue
+                proc = mrank.task.proc
+                req.waiter = proc
+                if req.kind is RequestKind.COLL:
+                    sched = self.rt.sched
+                    req.on_complete(lambda _r, p=proc: sched.try_wake(p))
+                mrank.idle_wait_parked = True
+                yield Park(f"MPI_Wait({opname}) poll-idle rank {mrank.rank}")
+                mrank.idle_wait_parked = False
+                req.waiter = None
+        finally:
+            mrank.current_wait = None
 
     def pending_real_request(self, slot: RequestSlot):
         """The lower-half request behind a slot, if it is still pending."""
@@ -302,20 +300,16 @@ class SemanticLowering:
             return None
         return entry.real if isinstance(entry.real, RealRequest) else None
 
-    def wait(self, slot: RequestSlot):
-        result = yield from self.wait_impl(slot, "wait")
-        return result
-
     def waitall(self, slots: Sequence[RequestSlot]):
         out = []
         for slot in slots:
-            result = yield from self.wait_impl(slot, "waitall")
+            result = yield from self.wait(slot, "waitall")
             out.append(result)
         return out
 
     def iprobe(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None):
-        source = self.api._resolve(source)
-        tag = self.api._resolve(tag)
+        source = self._resolve(source)
+        tag = self._resolve(tag)
         vid, real, lc = self.virt.lookup_comm(comm)
         yield self.cost.wrapper_advance(1, lc)
         # drained messages are as probe-able as unexpected-queue ones
@@ -327,11 +321,11 @@ class SemanticLowering:
             if tag is not ANY_TAG and tag != m.tag:
                 continue
             from repro.simmpi.constants import Status
-            st = self.api._lib.status_for_user(
+            st = self.rt.lib.status_for_user(
                 real, Status(source=m.src_world, tag=m.tag, count=m.nbytes)
             )
             return True, st
-        flag, st = self.api._lib.iprobe(self.api._task, real, source, tag)
+        flag, st = self.rt.lib.iprobe(self.mrank.task, real, source, tag)
         return flag, st
 
     def peek_done(self, slot: RequestSlot) -> bool:
@@ -355,11 +349,11 @@ class SemanticLowering:
                  recvtag=ANY_TAG, comm: Optional[int] = None):
         """MPI_Sendrecv: the send is non-blocking-converted first, so the
         pair can never deadlock (Section III item 1 applies to both)."""
-        dest = self.api._resolve(dest)
+        dest = self._resolve(dest)
         send_slot = yield from self.isend_impl(senddata, dest, sendtag, comm)
-        recv_slot = yield from self.irecv_impl(source, recvtag, comm)
-        data, status = yield from self.wait_impl(recv_slot, "sendrecv")
-        flag, _p, _s = yield from self.test_once(send_slot)
+        recv_slot = yield from self.irecv(source, recvtag, comm)
+        data, status = yield from self.wait(recv_slot, "sendrecv")
+        flag, _p, _s = yield from self.test(send_slot)
         if not flag:
             raise ManaError("eager sendrecv send did not complete locally")
         return data, status
@@ -379,12 +373,12 @@ class SemanticLowering:
                     yield from self.gate.blocked("probe")
                     polls = 0
                     continue
-            yield Advance(self.binding.mana_sw_time(
-                self.cfg.overheads.wait_poll_gap))
+            yield self._poll_gap
 
     def waitany(self, slots: Sequence[RequestSlot]):
         """MPI_Waitany as a Test polling loop over the whole set."""
-        sched = self.api.rt.sched
+        mrank = self.mrank
+        gate = self.gate
         polls = 0
         if self.cfg.virtualize_requests:
             entries = []
@@ -392,61 +386,56 @@ class SemanticLowering:
                 if not slot_.is_null:
                     e, _c = self.virt.lookup_request(slot_.value)
                     entries.append(e)
-            self.mrank.current_wait = ("requests", entries)
+            mrank.current_wait = ("requests", entries)
         try:
-            result = yield from self._waitany_loop(slots, sched, polls)
-            return result
-        finally:
-            self.mrank.current_wait = None
-
-    def _waitany_loop(self, slots, sched, polls):
-        while True:
-            if all(s.is_null for s in slots):
-                yield Advance(0.0)
-                return None, None, None
-            for i, slot in enumerate(slots):
-                if not slot.is_null and self.peek_done(slot):
-                    flag, payload, st = yield from self.test_once(slot)
-                    if flag:
-                        return i, payload, st
-            polls += 1
-            if self.gate.intent_pending:
-                if self.gate.must_checkin_blocked(polls):
-                    yield from self.gate.blocked("waitany")
-                    polls = 0
+            while True:
+                if all(s.is_null for s in slots):
+                    yield Advance(0.0)
+                    return None, None, None
+                for i, slot in enumerate(slots):
+                    if not slot.is_null and self.peek_done(slot):
+                        flag, payload, st = yield from self.test(slot)
+                        if flag:
+                            return i, payload, st
+                polls += 1
+                if gate.intent_pending:
+                    if gate.must_checkin_blocked(polls):
+                        yield from gate.blocked("waitany")
+                        polls = 0
+                        continue
+                    yield self._poll_gap
                     continue
-                yield Advance(self.binding.mana_sw_time(
-                    self.cfg.overheads.wait_poll_gap))
-                continue
-            if polls < self.gate.idle_poll_limit:
-                yield Advance(self.binding.mana_sw_time(
-                    self.cfg.overheads.wait_poll_gap))
-                continue
-            # idle-park on every still-pending lower-half request
-            reqs = []
-            proc = self.api._task.proc
-            for slot in slots:
-                req = self.pending_real_request(slot)
-                if req is not None and not req.done:
-                    req.waiter = proc
-                    if req.kind is RequestKind.COLL:
-                        req.on_complete(lambda _r, p=proc: sched.try_wake(p))
-                    reqs.append(req)
-            if not reqs:
-                yield Advance(self.binding.mana_sw_time(
-                    self.cfg.overheads.wait_poll_gap))
-                continue
-            self.mrank.idle_wait_parked = True
-            yield Park(f"MPI_Waitany poll-idle rank {self.mrank.rank}")
-            self.mrank.idle_wait_parked = False
-            for req in reqs:
-                req.waiter = None
+                if polls < gate.idle_poll_limit:
+                    yield self._poll_gap
+                    continue
+                # idle-park on every still-pending lower-half request
+                reqs = []
+                proc = mrank.task.proc
+                sched = self.rt.sched
+                for slot in slots:
+                    req = self.pending_real_request(slot)
+                    if req is not None and not req.done:
+                        req.waiter = proc
+                        if req.kind is RequestKind.COLL:
+                            req.on_complete(
+                                lambda _r, p=proc: sched.try_wake(p))
+                        reqs.append(req)
+                if not reqs:
+                    yield self._poll_gap
+                    continue
+                mrank.idle_wait_parked = True
+                yield Park(f"MPI_Waitany poll-idle rank {mrank.rank}")
+                mrank.idle_wait_parked = False
+                for req in reqs:
+                    req.waiter = None
+        finally:
+            mrank.current_wait = None
 
     def testany(self, slots: Sequence[RequestSlot]):
         """MPI_Testany: consume one completed request if any."""
         for i, slot in enumerate(slots):
             if not slot.is_null and self.peek_done(slot):
-                flag, payload, st = yield from self.test_once(slot)
+                flag, payload, st = yield from self.test(slot)
                 if flag:
                     return True, i, payload, st
         yield self.cost.wrapper_advance(1)
@@ -463,7 +452,7 @@ class SemanticLowering:
             if slot.is_null:
                 out.append((None, None))
                 continue
-            flag, payload, st = yield from self.test_once(slot)
+            flag, payload, st = yield from self.test(slot)
             assert flag
             out.append((payload, st))
         return True, out
@@ -475,12 +464,12 @@ class SemanticLowering:
         """MPI_Send_init: a virtualized *persistent* request.  Exempt
         from two-step retirement until MPI_Request_free; recreated on the
         fresh lower half at restart from MANA's record."""
-        dest = self.api._resolve(dest)
-        tag = self.api._resolve(tag)
+        dest = self._resolve(dest)
+        tag = self._resolve(tag)
         validate_tag(tag)
         vid, real_comm, lc = self.virt.lookup_comm(comm)
         yield self.cost.wrapper_advance(1, lc, vreq_ops=1, pt2pt=True)
-        preq = self.api._lib.send_init(self.api._task, real_comm, dest, tag,
+        preq = self.rt.lib.send_init(self.mrank.task, real_comm, dest, tag,
                                        buf=data)
         entry, _c = self.virt.create_request(
             VReqKind.PSEND, vid, real=preq, peer=dest, tag=tag,
@@ -491,12 +480,12 @@ class SemanticLowering:
 
     def recv_init(self, source=ANY_SOURCE, tag=ANY_TAG,
                   comm: Optional[int] = None):
-        source = self.api._resolve(source)
-        tag = self.api._resolve(tag)
+        source = self._resolve(source)
+        tag = self._resolve(tag)
         validate_tag(tag)
         vid, real_comm, lc = self.virt.lookup_comm(comm)
         yield self.cost.wrapper_advance(1, lc, vreq_ops=1, pt2pt=True)
-        preq = self.api._lib.recv_init(self.api._task, real_comm, source, tag)
+        preq = self.rt.lib.recv_init(self.mrank.task, real_comm, source, tag)
         entry, _c = self.virt.create_request(
             VReqKind.PRECV, vid, real=preq, peer=source, tag=tag,
             created_call=self.api._call_seq,
@@ -523,14 +512,14 @@ class SemanticLowering:
             if hit is not None:
                 payload, st = hit
                 entry.p_staged = (
-                    payload, self.api._lib.status_for_user(real_comm, st)
+                    payload, self.rt.lib.status_for_user(real_comm, st)
                 )
                 entry.p_active = True
                 entry.drain_counted = True  # counted when drained
                 return None
         if data is not None:
             entry.p_buf = data
-        yield from self.api._lib.start(self.api._task, entry.real, data)
+        yield from self.rt.lib.start(self.mrank.task, entry.real, data)
         entry.p_active = True
         if entry.kind is VReqKind.PSEND and entry.peer is not PROC_NULL:
             payload = data if data is not None else entry.p_buf
@@ -544,7 +533,7 @@ class SemanticLowering:
         entry, lc = self.virt.lookup_request(slot.value)
         yield self.cost.wrapper_advance(1, lc, vreq_ops=1)
         if isinstance(entry.real, RealPersistentRequest):
-            self.api._lib.request_free(self.api._task, entry.real)
+            self.rt.lib.request_free(self.mrank.task, entry.real)
         self.virt.retire_request(entry)
         slot.value = REQUEST_NULL
 
@@ -555,13 +544,13 @@ class SemanticLowering:
     def internal_isend(self, comm_vid: int, dest: int, tag: int, data):
         slot = yield from self.isend_impl(data, dest, tag, comm_vid,
                                           internal=True)
-        flag, _p, _s = yield from self.test_once(slot)
+        flag, _p, _s = yield from self.test(slot)
         if not flag:
             raise ManaError("internal eager send did not complete")
 
     def internal_recv(self, comm_vid: int, source: int, tag: int):
-        slot = yield from self.irecv_impl(source, tag, comm_vid, internal=True)
-        payload, st = yield from self.wait_impl(slot, "alt-collective recv")
+        slot = yield from self.irecv(source, tag, comm_vid, internal=True)
+        payload, st = yield from self.wait(slot, "alt-collective recv")
         return payload, st
 
     # ------------------------------------------------------------------
@@ -578,7 +567,7 @@ class SemanticLowering:
         if mode is CollectiveMode.PT2PT_ALWAYS and desc.alt is not None:
             # Section III-E alternative: run above the lower half; a
             # checkpoint may land mid-collective and the drain captures it
-            me = meta.world_ranks.index(self.mrank.rank)
+            me = meta.me
             p = len(meta.world_ranks)
             seq = meta.mana_coll_seq
             meta.mana_coll_seq += 1
@@ -605,8 +594,8 @@ class SemanticLowering:
             if mode is CollectiveMode.BARRIER_ALWAYS:
                 # the original MANA's two-phase commit: a real barrier in
                 # front of every collective (Sections III-D/III-E)
-                yield from self.api._lib.barrier(self.api._task, real)
-            result = yield from desc.lib(self.api._lib, self.api._task, real, args)
+                yield from self.rt.lib.barrier(self.mrank.task, real)
+            result = yield from desc.lib(self.rt.lib, self.mrank.task, real, args)
         finally:
             mrank.in_lower = None
         mrank.blocking_counts[gid] = inst + 1
@@ -617,14 +606,16 @@ class SemanticLowering:
     # ------------------------------------------------------------------
     # non-blocking collectives: log-and-replay (Section III-I item 4)
     # ------------------------------------------------------------------
-    def icoll(self, desc: IcollDesc, comm: Optional[int], args: dict):
+    def icoll(self, desc: IcollDesc, count, comm: Optional[int], args: dict):
+        """``count`` is the compiled row's counter: the call is counted
+        only once the virtualization check has let it through."""
         opname = desc.name
         if not self.cfg.virtualize_requests:
             raise UnsupportedMpiFeature(
                 "the original MANA does not virtualize MPI_Request and "
                 "cannot support non-blocking collectives (Section III-A)"
             )
-        self.api._count(opname)
+        count()
         if self.mrank.intent and self.mrank.phase is not RankPhase.IN_CKPT:
             yield from self.gate.entry(opname)
         vid, real, lc = self.virt.lookup_comm(comm)
@@ -634,7 +625,7 @@ class SemanticLowering:
         # value as of issue time even if the app reused its buffer
         rec.payload = copy.deepcopy(rec.payload)
         idx = self.mrank.icoll_log.append(rec)
-        req = yield from desc.issue(self.api._lib, self.api._task, real, args)
+        req = yield from desc.issue(self.rt.lib, self.mrank.task, real, args)
         entry, _c = self.virt.create_request(
             VReqKind.ICOLL, vid, real=req, icoll_index=idx,
             created_call=self.api._call_seq,
@@ -662,8 +653,8 @@ class SemanticLowering:
             self.mrank.report_state("in_lower", gid=gid, instance=inst)
         try:
             if self.cfg.collective_mode is CollectiveMode.BARRIER_ALWAYS:
-                yield from self.api._lib.barrier(self.api._task, real)
-            new_real = yield from desc.call(self.api._lib, self.api._task,
+                yield from self.rt.lib.barrier(self.mrank.task, real)
+            new_real = yield from desc.call(self.rt.lib, self.mrank.task,
                                             real, args)
         finally:
             self.mrank.in_lower = None
@@ -688,7 +679,7 @@ class SemanticLowering:
         yield from self.gate.collective(gid, "comm_free")
         _vid, real, lc = self.virt.lookup_comm(comm)  # rebound by a restart
         yield self.cost.wrapper_advance(1, lc)
-        self.api._lib.comm_free(self.api._task, real)
+        self.rt.lib.comm_free(self.mrank.task, real)
         self.virt.free_comm(vid)
         self.mrank.blocking_counts[gid] = (
             self.mrank.blocking_counts.get(gid, 0) + 1

@@ -17,12 +17,21 @@ from repro.mana.runtime import ManaRank
 
 
 class Virtualization:
-    """Per-rank translation stage."""
+    """Per-rank translation stage.
+
+    The stage holds the tables it translates through: a rank's tables
+    live as long as the rank (``restore`` refills them in place), so
+    their lookups are bound once instead of re-resolved per call."""
 
     def __init__(self, mrank: ManaRank, world_vid: int):
         self.mrank = mrank
         self.world_vid = world_vid
         self._tracer = mrank.rt.sched.tracer
+        self._vcomms = mrank.vcomms
+        self._vreqs = mrank.vreqs
+        self._lookup_comm = mrank.vcomms.lookup
+        #: ``vid -> (entry, modeled lookup cost)``
+        self.lookup_request = mrank.vreqs.table.lookup
 
     # ------------------------------------------------------------------
     # communicators
@@ -33,7 +42,7 @@ class Virtualization:
         Returns (vid, real communicator, modeled lookup cost)."""
         if comm is None:
             comm = self.world_vid
-        real, cost = self.mrank.vcomms.lookup(comm)
+        real, cost = self._lookup_comm(comm)
         if self._tracer.enabled:
             self._tracer.emit(
                 "virtualization", "comm_lookup", rank=self.mrank.rank,
@@ -42,12 +51,12 @@ class Virtualization:
         return comm, real, cost
 
     def comm_meta(self, vid: int):
-        return self.mrank.vcomms.meta[vid]
+        return self._vcomms.meta[vid]
 
     def register_comm(self, real: Any, name: str, record: CreationRecord):
         """Register a freshly created real communicator; returns
         (new vid, modeled insert cost)."""
-        vid, cost = self.mrank.vcomms.register(real, name, record)
+        vid, cost = self._vcomms.register(real, name, record)
         if self._tracer.enabled:
             self._tracer.emit(
                 "virtualization", "comm_register", rank=self.mrank.rank,
@@ -58,10 +67,10 @@ class Virtualization:
     def log_null_creation(self, record: CreationRecord) -> None:
         """A comm-creating call returned COMM_NULL here: log it anyway
         (replay-log reconstruction replays these too)."""
-        self.mrank.vcomms.creation_log.append(record)
+        self._vcomms.creation_log.append(record)
 
     def free_comm(self, vid: int) -> None:
-        self.mrank.vcomms.free(vid)
+        self._vcomms.free(vid)
         if self._tracer.enabled:
             self._tracer.emit(
                 "virtualization", "comm_free", rank=self.mrank.rank, vid=vid
@@ -71,9 +80,12 @@ class Virtualization:
     # requests
     # ------------------------------------------------------------------
     def create_request(
-        self, kind: VReqKind, comm_vid: int, **kw: Any
+        self, kind: VReqKind, comm_vid: int, real: Any, peer: Any = None,
+        tag: Any = None, icoll_index: Optional[int] = None,
+        created_call: int = -1,
     ) -> Tuple[VReqEntry, float]:
-        entry, cost = self.mrank.vreqs.create(kind, comm_vid, **kw)
+        entry, cost = self._vreqs.create(
+            kind, comm_vid, real, peer, tag, icoll_index, created_call)
         if self._tracer.enabled:
             self._tracer.emit(
                 "virtualization", "vreq_create", rank=self.mrank.rank,
@@ -81,11 +93,8 @@ class Virtualization:
             )
         return entry, cost
 
-    def lookup_request(self, vid: int) -> Tuple[VReqEntry, float]:
-        return self.mrank.vreqs.lookup(vid)
-
     def retire_request(self, entry: VReqEntry) -> float:
-        cost = self.mrank.vreqs.retire(entry)
+        cost = self._vreqs.retire(entry)
         if self._tracer.enabled:
             self._tracer.emit(
                 "virtualization", "vreq_retire", rank=self.mrank.rank,

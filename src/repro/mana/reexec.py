@@ -158,6 +158,7 @@ def materialize_comm_handle(api: ManaApi, value: Any, args, kwargs) -> Any:
             world_ranks=tuple(world_ranks),
             gid=comm_gid_from_world_ranks(tuple(world_ranks)),
             name=name,
+            me=tuple(world_ranks).index(api.mrank.rank),
         )
     return vid
 

@@ -49,9 +49,12 @@ class NullMark:
     status: Optional[Status]
 
 
-@dataclass
+@dataclass(slots=True)
 class VReqEntry:
-    """One virtual request's upper-half record."""
+    """One virtual request's upper-half record.
+
+    Field order is part of the contract: the per-call constructor in
+    :meth:`VirtualRequestManager.create` fills it positionally."""
 
     vid: int
     kind: VReqKind
@@ -123,10 +126,8 @@ class VirtualRequestManager:
         icoll_index: Optional[int] = None,
         created_call: int = -1,
     ) -> Tuple[VReqEntry, float]:
-        entry = VReqEntry(
-            vid=-1, kind=kind, comm_vid=comm_vid, peer=peer, tag=tag,
-            real=real, icoll_index=icoll_index, created_call=created_call,
-        )
+        entry = VReqEntry(-1, kind, comm_vid, peer, tag, real, icoll_index,
+                          False, created_call)
         vid, cost = self.table.create(entry)
         entry.vid = vid
         return entry, cost

@@ -58,7 +58,7 @@ class ReleaseMode(enum.Enum):
     STEP = "step"   # run one wrapper operation, then check in again
 
 
-@dataclass
+@dataclass(slots=True)
 class RankStats:
     """Per-rank telemetry."""
 
@@ -84,7 +84,7 @@ class ManaRank:
         # virtualization state (upper half: survives restart; only the
         # per-lookup *pricing* comes from the binding, and rebinds to a
         # fresh machine on a cross-machine restore)
-        self.vcomms = VirtualCommManager(binding)
+        self.vcomms = VirtualCommManager(binding, rank)
         self.vreqs = VirtualRequestManager(binding)
         self.icoll_log = IcollLog()
         self.counters = PairwiseCounters(rt.nranks, rank)

@@ -60,6 +60,8 @@ class VirtualTable(Generic[V]):
 
     # ------------------------------------------------------------------
     def _op_cost(self) -> float:
+        """One operation's modeled cost at the table's current size
+        (HASH callers on the hot path read ``_hash_cost`` directly)."""
         c = self._hash_cost
         if c is not None:
             return c
@@ -79,19 +81,23 @@ class VirtualTable(Generic[V]):
         self._next_id += 1
         self._table[vid] = real
         self.inserts += 1
-        self.peak_size = max(self.peak_size, len(self._table))
-        return vid, self._op_cost()
+        if len(self._table) > self.peak_size:
+            self.peak_size = len(self._table)
+        c = self._hash_cost
+        return vid, (c if c is not None else self._op_cost())
 
     def lookup(self, vid: int) -> Tuple[V, float]:
         """Translate virtual -> real; returns (real, modeled cost)."""
         self.lookups += 1
         try:
-            return self._table[vid], self._op_cost()
+            real = self._table[vid]
         except KeyError:
             raise ManaError(
                 f"{self.name}: virtual id {vid} is not mapped "
                 "(stale handle, or retired request reused?)"
             ) from None
+        c = self._hash_cost
+        return real, (c if c is not None else self._op_cost())
 
     def try_lookup(self, vid: int) -> Tuple[Optional[V], float]:
         self.lookups += 1
@@ -108,7 +114,9 @@ class VirtualTable(Generic[V]):
         self.deletes += 1
         if self._table.pop(vid, None) is None:
             raise ManaError(f"{self.name}: delete of unmapped id {vid}")
-        return self._op_cost()
+        # MAP prices the table as it stands *after* the pop
+        c = self._hash_cost
+        return c if c is not None else self._op_cost()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

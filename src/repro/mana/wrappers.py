@@ -21,12 +21,13 @@ call, lowered through five composable stages —
   polling loops, ``MPI_Alloc_mem`` becomes an upper-half allocation)
   and the non-blocking-collective log (Section III-I item 4).
 
-The wrapper methods are deliberately *plain functions* that return the
-pipeline's fused generator (callers ``yield from`` the result exactly as
-before): keeping them non-generators removes one frame from every
-call's resume chain, which the event loop pays on every Advance/Park.
-Argument evaluation order is unchanged — generator functions bind their
-arguments at creation time too.
+The wrapper methods are deliberately *plain functions*: each calls the
+rank's compiled row (``pipeline.rows[name]``) with positional arguments
+and returns the generator it hands back — the lowering handler's own,
+unless the tracer or a pending checkpoint intent needs the full stage
+chain (callers ``yield from`` the result either way).  No frame of this
+module sits in a call's resume chain, which the event loop pays on
+every Advance/Park.
 
 This module deliberately imports neither ``fsreg`` nor ``counters``:
 costing and drain accounting are reachable only through their stages
@@ -39,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.des.syscalls import Advance
 from repro.errors import UnsupportedMpiFeature
-from repro.mana.api import COLLECTIVE_OPS, PT2PT_OPS
 from repro.mana.config import ManaConfig
 from repro.mana.handles import RequestSlot
 from repro.mana.pipeline import Pipeline
@@ -79,18 +79,13 @@ class ManaApi:
         self._call_seq = 0      # public wrapper-call counter (REEXEC)
         self._uh_mem: Dict[int, UpperHalfMemory] = {}
         self._pipe = Pipeline(self)
+        #: the rank's compiled rows; every entry point below is one
+        #: ``rows[name](positional args)``
+        self._rows = self._pipe.rows
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    @property
-    def _task(self):
-        return self.mrank.task
-
-    @property
-    def _lib(self):
-        return self.rt.lib  # always the *current* incarnation
-
     @property
     def rank(self) -> int:
         return self.mrank.rank
@@ -99,19 +94,10 @@ class ManaApi:
     def size(self) -> int:
         return self.rt.nranks
 
-    def _count(self, name: str) -> None:
-        st = self.mrank.stats
-        st.count(name)
-        if name in COLLECTIVE_OPS:
-            st.collective_calls += 1
-        elif name in PT2PT_OPS:
-            st.pt2pt_calls += 1
-
     def comm_rank(self, comm: Optional[int] = None) -> int:
         if comm is None:
             comm = self.COMM_WORLD
-        meta = self.mrank.vcomms.meta[comm]
-        return meta.world_ranks.index(self.mrank.rank)
+        return self.mrank.vcomms.meta[comm].me
 
     def comm_size(self, comm: Optional[int] = None) -> int:
         if comm is None:
@@ -133,65 +119,64 @@ class ManaApi:
     # point-to-point
     # ------------------------------------------------------------------
     def isend(self, data, dest, tag: int = 0, comm: Optional[int] = None):
-        return self._pipe.call("isend", data, dest, tag, comm)
+        return self._rows["isend"](data, dest, tag, comm)
 
     def send(self, data, dest, tag: int = 0, comm: Optional[int] = None):
-        return self._pipe.call("send", data, dest, tag, comm)
+        return self._rows["send"](data, dest, tag, comm)
 
     def irecv(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None):
-        return self._pipe.call("irecv", source, tag, comm)
+        return self._rows["irecv"](source, tag, comm)
 
     def recv(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None):
-        return self._pipe.call("recv", source, tag, comm)
+        return self._rows["recv"](source, tag, comm)
 
     def sendrecv(self, senddata, dest, sendtag: int = 0, source=ANY_SOURCE,
                  recvtag=ANY_TAG, comm: Optional[int] = None):
-        return self._pipe.call(
-            "sendrecv", senddata, dest, sendtag, source, recvtag, comm
-        )
+        return self._rows["sendrecv"](
+            senddata, dest, sendtag, source, recvtag, comm)
 
     def iprobe(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None):
-        return self._pipe.call("iprobe", source, tag, comm)
+        return self._rows["iprobe"](source, tag, comm)
 
     def probe(self, source=ANY_SOURCE, tag=ANY_TAG, comm: Optional[int] = None):
-        return self._pipe.call("probe", source, tag, comm)
+        return self._rows["probe"](source, tag, comm)
 
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
     def test(self, slot: RequestSlot):
-        return self._pipe.call("test", slot)
+        return self._rows["test"](slot)
 
     def wait(self, slot: RequestSlot):
-        return self._pipe.call("wait", slot)
+        return self._rows["wait"](slot)
 
     def waitall(self, slots: Sequence[RequestSlot]):
-        return self._pipe.call("waitall", slots)
+        return self._rows["waitall"](slots)
 
     def waitany(self, slots: Sequence[RequestSlot]):
-        return self._pipe.call("waitany", slots)
+        return self._rows["waitany"](slots)
 
     def testany(self, slots: Sequence[RequestSlot]):
-        return self._pipe.call("testany", slots)
+        return self._rows["testany"](slots)
 
     def testall(self, slots: Sequence[RequestSlot]):
-        return self._pipe.call("testall", slots)
+        return self._rows["testall"](slots)
 
     # ------------------------------------------------------------------
     # persistent point-to-point (MPI_Send_init / MPI_Recv_init / Start)
     # ------------------------------------------------------------------
     def send_init(self, data, dest, tag: int = 0, comm: Optional[int] = None):
-        return self._pipe.call("send_init", data, dest, tag, comm)
+        return self._rows["send_init"](data, dest, tag, comm)
 
     def recv_init(self, source=ANY_SOURCE, tag=ANY_TAG,
                   comm: Optional[int] = None):
-        return self._pipe.call("recv_init", source, tag, comm)
+        return self._rows["recv_init"](source, tag, comm)
 
     def start(self, slot: RequestSlot, data=None):
-        return self._pipe.call("start", slot, data)
+        return self._rows["start"](slot, data)
 
     def request_free(self, slot: RequestSlot):
-        return self._pipe.call("request_free", slot)
+        return self._rows["request_free"](slot)
 
     # ------------------------------------------------------------------
     # internal pt2pt for the alternative collective implementation
@@ -207,91 +192,86 @@ class ManaApi:
     # blocking collectives
     # ------------------------------------------------------------------
     def barrier(self, comm: Optional[int] = None):
-        return self._pipe.call("barrier", comm, {})
+        return self._rows["barrier"](comm, {})
 
     def bcast(self, data, root: int = 0, comm: Optional[int] = None):
         data = self._resolve(data)
-        return self._pipe.call("bcast", comm, {"data": data, "root": root})
+        return self._rows["bcast"](comm, {"data": data, "root": root})
 
     def reduce(self, data, op: ReductionOp = SUM, root: int = 0,
                comm: Optional[int] = None):
-        return self._pipe.call(
-            "reduce", comm, {"data": data, "op": op, "root": root}
-        )
+        return self._rows["reduce"](
+            comm, {"data": data, "op": op, "root": root})
 
     def allreduce(self, data, op: ReductionOp = SUM, comm: Optional[int] = None):
-        return self._pipe.call("allreduce", comm, {"data": data, "op": op})
+        return self._rows["allreduce"](comm, {"data": data, "op": op})
 
     def gather(self, data, root: int = 0, comm: Optional[int] = None):
-        return self._pipe.call("gather", comm, {"data": data, "root": root})
+        return self._rows["gather"](comm, {"data": data, "root": root})
 
     def scatter(self, data, root: int = 0, comm: Optional[int] = None):
-        return self._pipe.call("scatter", comm, {"data": data, "root": root})
+        return self._rows["scatter"](comm, {"data": data, "root": root})
 
     def allgather(self, data, comm: Optional[int] = None):
-        return self._pipe.call("allgather", comm, {"data": data})
+        return self._rows["allgather"](comm, {"data": data})
 
     def alltoall(self, data: List[Any], comm: Optional[int] = None):
-        return self._pipe.call("alltoall", comm, {"data": data})
+        return self._rows["alltoall"](comm, {"data": data})
 
     def scan(self, data, op: ReductionOp = SUM, comm: Optional[int] = None):
-        return self._pipe.call("scan", comm, {"data": data, "op": op})
+        return self._rows["scan"](comm, {"data": data, "op": op})
 
     def reduce_scatter_block(self, data: List[Any], op: ReductionOp = SUM,
                              comm: Optional[int] = None):
-        return self._pipe.call(
-            "reduce_scatter_block", comm, {"data": data, "op": op}
-        )
+        return self._rows["reduce_scatter_block"](
+            comm, {"data": data, "op": op})
 
     # ------------------------------------------------------------------
     # non-blocking collectives: log-and-replay (Section III-I item 4)
     # ------------------------------------------------------------------
     def ibarrier(self, comm: Optional[int] = None):
-        return self._pipe.call("ibarrier", comm, {})
+        return self._rows["ibarrier"](comm, {})
 
     def ibcast(self, data, root: int = 0, comm: Optional[int] = None):
-        return self._pipe.call("ibcast", comm, {"data": data, "root": root})
+        return self._rows["ibcast"](comm, {"data": data, "root": root})
 
     def ireduce(self, data, op: ReductionOp = SUM, root: int = 0,
                 comm: Optional[int] = None):
-        return self._pipe.call(
-            "ireduce", comm, {"data": data, "op": op, "root": root}
-        )
+        return self._rows["ireduce"](
+            comm, {"data": data, "op": op, "root": root})
 
     def iallreduce(self, data, op: ReductionOp = SUM, comm: Optional[int] = None):
-        return self._pipe.call("iallreduce", comm, {"data": data, "op": op})
+        return self._rows["iallreduce"](comm, {"data": data, "op": op})
 
     def ialltoall(self, data: List[Any], comm: Optional[int] = None):
-        return self._pipe.call("ialltoall", comm, {"data": data})
+        return self._rows["ialltoall"](comm, {"data": data})
 
     def iallgather(self, data, comm: Optional[int] = None):
-        return self._pipe.call("iallgather", comm, {"data": data})
+        return self._rows["iallgather"](comm, {"data": data})
 
     # ------------------------------------------------------------------
     # communicator management (collective on the parent)
     # ------------------------------------------------------------------
     def comm_split(self, color, key: int = 0, comm: Optional[int] = None):
-        return self._pipe.call(
-            "comm_split", comm, {"color": color, "key": key}
-        )
+        return self._rows["comm_split"](comm, {"color": color, "key": key})
 
     def comm_dup(self, comm: Optional[int] = None):
-        return self._pipe.call("comm_dup", comm, {})
+        return self._rows["comm_dup"](comm, {})
 
     def comm_create(self, ranks: Sequence[int], comm: Optional[int] = None):
-        return self._pipe.call("comm_create", comm, {"ranks": ranks})
+        return self._rows["comm_create"](comm, {"ranks": ranks})
 
     def comm_free(self, comm: int):
-        return self._pipe.call("comm_free", comm)
+        return self._rows["comm_free"](comm)
 
     # ------------------------------------------------------------------
     # memory: MPI_Alloc_mem -> upper-half malloc (Section III item 1)
     # ------------------------------------------------------------------
     def alloc_mem(self, nbytes: int):
-        return self._pipe.call("alloc_mem", nbytes)
+        return self._rows["alloc_mem"](nbytes)
 
     def free_mem(self, mem: UpperHalfMemory):
-        return self._pipe.call("free_mem", mem)
+        return self._rows["free_mem"](mem)
 
     # ------------------------------------------------------------------
     def win_create(self, *a, **kw):
@@ -339,4 +319,4 @@ class ManaApi:
         self.mrank.phase = RankPhase.DONE
     # NOTE: _finalize and compute stay generator functions (they yield
     # directly); everything routed through the pipeline returns the
-    # fused generator instead.
+    # row's generator instead.

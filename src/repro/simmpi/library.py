@@ -52,7 +52,7 @@ _COLL = RequestKind.COLL
 _PARK_WAIT = Park("MPI_Wait")
 
 
-@dataclass
+@dataclass(slots=True)
 class RankTask:
     """Identity of a caller: which process, which world rank.
 

@@ -1,6 +1,8 @@
 """Unit tests for MANA's component modules: virtual tables, counters,
 drain buffer, request manager, Fortran constants, GIDs, FS register."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,36 @@ class TestVirtualTable:
         _, small_cost = tm_small.lookup(1)
         assert map_cost > small_cost
 
+    def test_hash_prices_every_operation_the_same(self):
+        binding = LowerHalfBinding(CFG.but(vtable=VtableBackend.HASH), TESTBOX)
+        want = binding.mana_sw_time(CFG.overheads.hash_lookup)
+        t = VirtualTable("h", binding)
+        costs = [t.create("x")[1] for _ in range(9)]
+        costs += [t.lookup(3)[1], t.try_lookup(99)[1], t.delete(3)]
+        assert costs == [want] * 12
+        assert (t.inserts, t.lookups, t.deletes, t.peak_size) == (9, 2, 1, 9)
+
+    def test_map_prices_the_table_as_each_operation_leaves_it(self):
+        cfg = CFG.but(vtable=VtableBackend.ORDERED_MAP)
+        binding = LowerHalfBinding(cfg, TESTBOX)
+
+        def at(n):  # the modeled cost of one operation on n entries
+            levels = max(1.0, math.log2(max(2, n)))
+            return binding.mana_sw_time(
+                cfg.overheads.map_lookup_per_level * levels)
+
+        t = VirtualTable("m", binding)
+        # an insert is priced *after* the entry went in
+        assert [t.create("x")[1] for _ in range(5)] == [
+            at(n) for n in (1, 2, 3, 4, 5)]
+        assert t.lookup(2)[1] == at(5)
+        # a delete is priced *after* the pop: 5 -> 4 entries
+        assert t.delete(2) == at(4) != at(5)
+        assert t.lookup(1)[1] == at(4)
+        with pytest.raises(ManaError, match="delete of unmapped"):
+            t.delete(2)
+        assert (t.inserts, t.lookups, t.deletes, t.peak_size) == (5, 2, 2, 5)
+
     def test_peak_size_tracked(self):
         t = VirtualTable("t", LowerHalfBinding(CFG, TESTBOX))
         vids = [t.create("x")[0] for _ in range(5)]
@@ -84,6 +116,16 @@ class TestVirtualTable:
 
 
 class TestPairwiseCounters:
+    @pytest.mark.parametrize("peer", [-1, 4])
+    def test_out_of_range_peer_is_a_typed_error_not_an_alias(self, peer):
+        # numpy would fold key -1 onto world rank 3's row
+        c = PairwiseCounters(4, rank=2)
+        c.on_receive(peer, 0)
+        with pytest.raises(DrainError, match=rf"rank 2: .*peer {peer} "):
+            c.deficit_from(np.zeros((4, 2), dtype=np.int64))
+        with pytest.raises(DrainError, match="outside the world"):
+            c.snapshot()
+
     def test_send_receive_accounting(self):
         c = PairwiseCounters(4)
         c.on_send(2, 100)

@@ -111,8 +111,8 @@ class TestLowerHalfCosting:
         mrank = make_rank(cfg, machine=CORI_HASWELL)
         cost_stage = LowerHalfCosting(mrank)
         ov = cfg.overheads
-        got = cost_stage.wrapper_cost(lower_calls=1, lookup_cost=0.5e-6,
-                                      vreq_ops=2, pt2pt=True)
+        got = cost_stage.wrapper_advance(lower_calls=1, lookup_cost=0.5e-6,
+                                         vreq_ops=2, pt2pt=True).dt
         nominal = (ov.ckpt_lock + ov.commit_phase + ov.lambda_frames
                    + ov.vreq_bookkeeping * 2 + ov.counter_update)
         lower = 1 + ov.rank_helper_lh_calls
@@ -125,7 +125,7 @@ class TestLowerHalfCosting:
         mrank = make_rank()
         cost_stage = LowerHalfCosting(mrank)
         before = mrank.stats.lower_half_calls
-        c = cost_stage.wrapper_cost(lower_calls=3)
+        c = cost_stage.wrapper_advance(lower_calls=3).dt
         assert mrank.stats.lower_half_calls == before + 3
         assert mrank.stats.overhead_time >= c
 
@@ -133,7 +133,7 @@ class TestLowerHalfCosting:
         mrank = make_rank()
         sink = RingBufferSink()
         mrank.rt.sched.tracer.set_sink(sink)
-        LowerHalfCosting(mrank).wrapper_cost()
+        LowerHalfCosting(mrank).wrapper_advance()
         (ev,) = sink.by_stage("lower_half_costing")
         assert ev.kind == "charge" and ev.rank == 0
 
@@ -372,14 +372,14 @@ class TestLazyRowCompile:
         out = sess.run()
         assert out.results == [TokenRing.expected(r, 4, 3) for r in range(4)]
         for mrank in sess.rt.ranks:
-            compiled = set(mrank.api._pipe._fused)
+            compiled = set(mrank.api._pipe.rows)
             # send + recv, and the barrier inside finalize
             assert compiled == {"send", "recv", "barrier"}
             assert compiled == set(mrank.stats.wrapper_calls)
             assert compiled < set(CALL_SPECS)
 
     def test_a_row_is_compiled_once(self):
-        from repro.mana.pipeline.core import _FusedRows
+        from repro.mana.pipeline.core import _Rows
 
         compiled = []
 
@@ -387,7 +387,7 @@ class TestLazyRowCompile:
             compiled.append(spec.name)
             return object()
 
-        rows = _FusedRows(compile_row)
+        rows = _Rows(compile_row)
         first = rows["send"]
         assert rows["send"] is first and rows["recv"] is not first
         assert compiled == ["send", "recv"]
@@ -397,10 +397,132 @@ class TestLazyRowCompile:
                            ManaConfig.feature_2pc())
         sess._wire([])
         pipe = sess.rt.ranks[0].api._pipe
-        assert not pipe._fused  # wired, nothing called, nothing compiled
+        assert not pipe.rows  # wired, nothing called, nothing compiled
         with pytest.raises(KeyError, match="no_such_call"):
-            pipe.call("no_such_call")
-        assert "no_such_call" not in pipe._fused
+            pipe.rows["no_such_call"]
+        assert "no_such_call" not in pipe.rows
+
+
+# ----------------------------------------------------------------------
+# the two shapes of a compiled row: the handler's own generator, or the
+# full stage chain when the tracer or the gate has something to do
+# ----------------------------------------------------------------------
+class Exchange(MpiProgram):
+    """One irecv / send / waitall exchange with the other rank."""
+
+    def __init__(self, rank, compute_s=0.0):
+        super().__init__(rank)
+        self.compute_s = compute_s
+
+    def main(self, api):
+        peer = 1 - api.rank
+        slot = yield from api.irecv(peer, 3)
+        if self.compute_s:
+            yield from api.compute(self.compute_s)
+        yield from api.send(api.rank + 10, peer, tag=3)
+        ((payload, st),) = yield from api.waitall([slot])
+        return payload, st.source
+
+
+#: one rank's pipeline-stage events for one ``Exchange``, captured at
+#: the commit before rows handed back the handler's generator
+EXCHANGE_STREAM = [
+    "0.0 semantic_lowering.enter irecv",
+    "0.0 virtualization.comm_lookup cost=6e-08 vid=1",
+    "0.0 lower_half_costing.charge cost=3.14e-06 lower_calls=2 vreq_ops=1",
+    "3.14e-06 virtualization.vreq_create comm_vid=1 req_kind='irecv' vid=1",
+    "3.14e-06 semantic_lowering.exit irecv",
+    "3.14e-06 semantic_lowering.enter send",
+    "3.14e-06 virtualization.comm_lookup cost=6e-08 vid=1",
+    "3.14e-06 lower_half_costing.charge cost=3.14e-06 lower_calls=2 vreq_ops=1",
+    "6.53e-06 drain_accounting.sent nbytes=8 peer={peer}",
+    "6.53e-06 virtualization.vreq_create comm_vid=1 req_kind='isend' vid=2",
+    "6.53e-06 lower_half_costing.charge cost=2.35e-06 lower_calls=1 vreq_ops=0",
+    "8.88e-06 virtualization.vreq_retire req_kind='isend' vid=2",
+    "8.88e-06 semantic_lowering.exit send",
+    "8.88e-06 semantic_lowering.enter waitall",
+    "8.88e-06 lower_half_costing.charge cost=2.35e-06 lower_calls=1 vreq_ops=0",
+    "1.123e-05 drain_accounting.received nbytes=8 peer={peer}",
+    "1.123e-05 virtualization.comm_lookup cost=6e-08 vid=1",
+    "1.123e-05 virtualization.vreq_retire req_kind='irecv' vid=1",
+    "1.123e-05 semantic_lowering.exit waitall",
+]
+
+
+class TestRowShapes:
+    def wired_api(self, **kw):
+        sess = ManaSession(2, lambda r: Exchange(r), TESTBOX,
+                           ManaConfig.feature_2pc(), **kw)
+        sess._wire([])
+        return sess.rt.ranks[0]
+
+    def test_quiet_row_is_the_handlers_own_generator(self):
+        mrank = self.wired_api()
+        gen = mrank.api.send(1, 1)
+        assert gen.gi_code.co_name == "send"   # no frame in between
+        gen.close()
+        gen = mrank.api.waitall([])
+        assert gen.gi_code.co_name == "waitall"
+        gen.close()
+        assert mrank.stats.wrapper_calls == {"send": 1, "waitall": 1}
+        assert mrank.stats.pt2pt_calls == 1
+
+    def test_intent_or_tracer_selects_the_full_stage_chain(self):
+        mrank = self.wired_api()
+        mrank.intent = True                    # safe point is now live
+        gen = mrank.api.send(1, 1)
+        assert gen.gi_code.co_name == "_staged"
+        gen.close()
+        gen = mrank.api.waitall([])            # owns its check-in policy
+        assert gen.gi_code.co_name == "waitall"
+        gen.close()
+        mrank.phase = RankPhase.IN_CKPT        # inside the cycle: no-op
+        gen = mrank.api.send(1, 1)
+        assert gen.gi_code.co_name == "send"
+        gen.close()
+        traced = self.wired_api(trace_sink=RingBufferSink())
+        for gen in (traced.api.send(1, 1), traced.api.waitall([])):
+            assert gen.gi_code.co_name == "_staged"
+            gen.close()
+
+    def test_traced_exchange_stream_is_event_for_event_the_parents(self):
+        sink = RingBufferSink()
+        out = ManaSession(2, lambda r: Exchange(r), TESTBOX,
+                          ManaConfig.feature_2pc(), trace_sink=sink).run()
+        assert out.results == [(11, 1), (10, 0)]
+
+        def line(e):
+            detail = " ".join(f"{k}={v!r}" for k, v in sorted(e.detail.items()))
+            return f"{e.t!r} {e.stage}.{e.kind} {e.call or detail}"
+
+        for rank in (0, 1):
+            got = [line(e) for e in sink.events
+                   if e.stage in PIPELINE_STAGES and e.rank == rank]
+            want = [w.format(peer=1 - rank) for w in EXCHANGE_STREAM]
+            assert got[:len(want)] == want
+
+    def test_intent_between_two_calls_checks_in_at_the_very_next_one(self):
+        sink = RingBufferSink()
+        runs = []
+        for kw in ({}, {"trace_sink": sink}):
+            runs.append(ManaSession(
+                2, lambda r: Exchange(r, compute_s=1e-3), TESTBOX,
+                ManaConfig.feature_2pc(), **kw,
+            ).run(checkpoints=[CheckpointPlan(at=5e-4, action="resume")]))
+        for out in runs:
+            # virtual time and check-in count of the commit before the
+            # row's inline guard replaced the generator's
+            assert out.elapsed == 0.002935284049999999
+            assert [st.checkins for st in out.rank_stats] == [1, 1]
+            assert out.results == [(11, 1), (10, 0)]
+            assert len(out.checkpoints) == 1
+        gate = [(e.rank, e.kind, e.detail) for e in sink.events
+                if e.stage == "two_phase_gate"]
+        # the intent arrived inside compute(); send is the next wrapper
+        assert gate[:2] == [
+            (r, "checkin", {"checkin_kind": "safe", "pending": "send"})
+            for r in (0, 1)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +628,39 @@ class TestLayeringLint:
         )
         found = check_layering.policy_violations(bad)
         assert len(found) == 3
+
+    def test_lint_catches_a_forwarding_generator(self, tmp_path):
+        sys.path.insert(0, str(REPO / "tools"))
+        try:
+            import check_layering
+        finally:
+            sys.path.pop(0)
+        bad = tmp_path / "lowering.py"
+        bad.write_text(
+            "class SemanticLowering:\n"
+            "    def irecv(self, source, tag, comm=None):\n"
+            "        slot = yield from self.irecv_impl(source, tag, comm)\n"
+            "        return slot\n"
+            "    def wait(self, slot):\n"
+            "        'MPI_Wait.'\n"
+            "        return (yield from self.wait_impl(slot, 'wait'))\n"
+        )
+        found = check_layering.forwarding_generators(bad)
+        assert [name for _lineno, name in found] == ["irecv", "wait"]
+        clean = tmp_path / "clean.py"
+        clean.write_text(
+            "class SemanticLowering:\n"
+            "    def isend(self, data, dest, tag=0, comm=None):\n"
+            "        return self.isend_impl(data, dest, tag, comm)\n"  # called
+            "    def send(self, data, dest, tag=0, comm=None):\n"
+            "        slot = yield from self.isend_impl(data, dest, tag, comm)\n"
+            "        flag, _p, _s = yield from self.test(slot)\n"
+            "        return None\n"
+            "class Other:\n"                    # only the lowering stage
+            "    def f(self):\n"
+            "        return (yield from self.g())\n"
+        )
+        assert check_layering.forwarding_generators(clean) == []
 
     def test_lint_catches_an_upper_layer_import_in_des_core(self, tmp_path):
         sys.path.insert(0, str(REPO / "tools"))

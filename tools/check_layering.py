@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layering lint: façades stay façades, mechanism stays below policy.
 
-Seven rules, all enforced by walking module ASTs:
+Eight rules, all enforced by walking module ASTs:
 
 1. ``src/repro/mana/wrappers.py`` routes every MPI entry point through
    the interposition pipeline (``repro/mana/pipeline/``).  Costing and
@@ -66,6 +66,16 @@ Seven rules, all enforced by walking module ASTs:
    ``repro.util``, ``repro.bench`` — may import ``repro.campaign``: a
    single simulation must never know it is one cell of a fleet.
 
+8. A wrapper call costs one generator: ``SemanticLowering``
+   (``repro/mana/pipeline/lowering.py``) has no *forwarding generator*
+   — a method whose whole body (docstring aside) is
+   ``x = yield from self.other(...)`` followed by ``return x``, or
+   ``return (yield from self.other(...))``.  Such a method adds a frame
+   to every resume of the call it forwards and does nothing else; the
+   handler a registry row names is the body itself, and a shared body
+   is *called* (``return self.other(...)`` from a plain function), not
+   forwarded to.
+
 Usage: python tools/check_layering.py  (exit 0 = clean, 1 = violation)
 """
 
@@ -118,6 +128,10 @@ CAMPAIGN_LOWER_DIRS = (
     "repro/util", "repro/bench", "repro/apps",
 )
 CAMPAIGN_PKG = "repro.campaign"
+
+#: the lowering stage, whose methods must not be forwarding generators
+LOWERING = SRC / "repro" / "mana" / "pipeline" / "lowering.py"
+LOWERING_CLASS = "SemanticLowering"
 
 
 def _imports(path: Path) -> List[Tuple[int, str, str]]:
@@ -274,10 +288,70 @@ def campaign_reverse_violations() -> List[str]:
     return bad
 
 
+def _is_self_yield_from(node) -> bool:
+    """``yield from self.<method>(...)``"""
+    if not isinstance(node, ast.YieldFrom):
+        return False
+    call = node.value
+    return (isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "self")
+
+
+def forwarding_generators(path: Path) -> List[Tuple[int, str]]:
+    """Rule 8 on one file: (lineno, name) of every ``SemanticLowering``
+    method that only forwards to another generator method."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == LOWERING_CLASS):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            body = fn.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]  # docstring
+            if len(body) == 1:
+                ret = body[0]
+                forwards = (isinstance(ret, ast.Return)
+                            and _is_self_yield_from(ret.value))
+            elif len(body) == 2:
+                assign, ret = body
+                forwards = (
+                    isinstance(assign, ast.Assign)
+                    and len(assign.targets) == 1
+                    and isinstance(assign.targets[0], ast.Name)
+                    and _is_self_yield_from(assign.value)
+                    and isinstance(ret, ast.Return)
+                    and isinstance(ret.value, ast.Name)
+                    and ret.value.id == assign.targets[0].id
+                )
+            else:
+                forwards = False
+            if forwards:
+                found.append((fn.lineno, fn.name))
+    return found
+
+
+def forwarding_violations() -> List[str]:
+    rel = LOWERING.relative_to(REPO)
+    return [
+        f"{rel}:{lineno}: {LOWERING_CLASS}.{name} is a forwarding "
+        "generator (make it the body, or call the shared body from a "
+        "plain function)"
+        for lineno, name in forwarding_generators(LOWERING)
+    ]
+
+
 def main() -> int:
     bad = (wrapper_violations() + faults_violations() + storage_violations()
            + des_violations() + ir_violations() + portable_violations()
-           + campaign_violations() + campaign_reverse_violations())
+           + campaign_violations() + campaign_reverse_violations()
+           + forwarding_violations())
     if bad:
         for line in bad:
             print(line, file=sys.stderr)
@@ -292,7 +366,8 @@ def main() -> int:
             "repro.mana.ir_bridge); repro/mana/portable.py imports "
             "nothing from repro.hosts or repro.simnet; repro.campaign "
             "imports only bench/util/errors and the app/session entry "
-            "points, and nothing below it imports repro.campaign",
+            "points, and nothing below it imports repro.campaign; no "
+            "SemanticLowering method only forwards to another generator",
             file=sys.stderr,
         )
         return 1
@@ -302,7 +377,8 @@ def main() -> int:
           "repro.mana/repro.simmpi/repro.simnet; repro.ir imports only "
           "repro.util/repro.errors; the portable upper half imports "
           "neither repro.hosts nor repro.simnet; repro.campaign touches "
-          "only entry points and no lower layer imports it back")
+          "only entry points and no lower layer imports it back; "
+          "SemanticLowering has no forwarding generators")
     return 0
 
 
