@@ -1,10 +1,11 @@
 """Collective algorithms implemented on point-to-point messaging.
 
-Each algorithm is a generator coroutine parameterized by the library, the
-calling task, the communicator, and the collective sequence number that
-identifies this instance.  Internal messages travel on the communicator's
-*collective* context ID with tags derived from the sequence number, so
-they can never match application receives.
+Each algorithm is a plain function of the library, the calling task, the
+communicator, and the collective sequence number that identifies this
+instance; it returns the one generator the calling rank runs.  Internal
+messages travel on the communicator's *collective* context ID with tags
+derived from the sequence number, so they can never match application
+receives.
 
 The algorithms are the textbook ones (binomial trees, recursive doubling,
 dissemination, Bruck, pairwise exchange) because the paper's performance
@@ -19,6 +20,14 @@ Per collective: barrier — dissemination; bcast, reduce, gather, scatter
 every size; alltoall — Bruck's store-and-forward while every block is at
 most ``ALLTOALL_SHORT_MSG`` bytes (the drain's counter exchange), the
 pairwise exchange above it (FFT transposes), as MPICH switches.
+
+Each algorithm's structure is a *round schedule*: a plan function gives
+one rank its rounds ``(dst, src, offset, x)`` — peers in world ranks, -1
+for a side the round lacks, the tag offset, and what the algorithm needs
+to know about that round — and :func:`schedule` keeps them on the
+communicator, built once per ``(plan, me, root)``.  One executor,
+:func:`run_rounds`, runs every schedule: the eager send and the blocking
+receive are written there and nowhere else in this module.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import MpiError
+from repro.simmpi import request
 from repro.simmpi.comm import RealComm
 from repro.simmpi.ops import ReductionOp
 from repro.util.serde import SizedBlocks, payload_nbytes, typed_block_nbytes
@@ -43,298 +53,287 @@ TAG_STRIDE = 1 << 20
 ALLTOALL_SHORT_MSG = 256
 
 
-def _tag(seq: int, round_: int = 0) -> int:
-    if not 0 <= round_ < TAG_STRIDE:
-        raise MpiError(f"collective round {round_} exceeds tag stride")
-    return seq * TAG_STRIDE + round_
-
-
-_log2_memo: dict = {}
-
-
-def _ceil_log2(p: int) -> int:
-    r = _log2_memo.get(p)
-    if r is None:
-        n, r = 1, 0
-        while n < p:
-            n <<= 1
-            r += 1
-        _log2_memo[p] = r
-    return r
-
-
 # ----------------------------------------------------------------------
-# Each helper below sends/receives on the collective context of `comm`.
-# `lib` supplies the raw primitives (see MpiLibrary._isend_raw/_irecv_raw).
+# the round executor
 # ----------------------------------------------------------------------
 
-def _send(lib, task, comm: RealComm, dst_local: int, tag: int, payload: Any):
-    dst_world = comm.world_rank(dst_local)
-    req = yield from lib._isend_raw(task, comm.coll_ctx, dst_world, tag, payload)
-    return req
+def run_rounds(lib, task, comm: RealComm, base: int, rounds, acc: Any,
+               out=None, into=None, finish=None):
+    """Run one rank's rounds on the collective context of ``comm``.
 
+    A round ``(dst, src, offset, x)`` sends ``out(acc, x)`` — ``acc``
+    itself when ``out`` is None — eagerly to ``dst``, then receives from
+    ``src`` and folds the payload in as ``acc = into(acc, got, x)`` —
+    replaces ``acc`` when ``into`` is None — both on tag ``base +
+    offset``; a side whose rank is -1 is skipped.  Returns ``acc``, or
+    ``finish(acc)``.
 
-def _recv(lib, task, comm: RealComm, src_local: int, tag: int):
-    src_world = comm.world_rank(src_local)
-    req = lib._irecv_raw(task, comm.coll_ctx, src_world, tag)
-    payload = yield from lib._wait(task, req)
-    return payload
-
-
-# ----------------------------------------------------------------------
-# barrier: dissemination
-# ----------------------------------------------------------------------
-
-def barrier(lib, task, comm: RealComm, me: int, seq: int):
-    # hot path: ``_send``/``_recv`` inlined (dissemination barriers
-    # dominate collective traffic); rounds fit the tag stride by
-    # construction (log2 p << TAG_STRIDE)
-    p = comm.size
+    The send and the receive are the primitives' halves around their
+    yields (``MpiLibrary._inject``, ``_irecv_raw``, ``_park``), so the
+    rank's generator is this one frame, and the simulation is the one
+    the primitives make: the same ``Advance``/``Park`` yields in the
+    same order, the library's ``destroyed`` flag tested before each send
+    and each receive, and message and request ids drawn in the same
+    order.  The send request nobody reads is never built, but its id is
+    still drawn — through the module attribute, because
+    ``tools/capture_goldens.py`` rewinds that counter between cases."""
     ctx = comm.coll_ctx
-    wr = comm.group.world_ranks
-    base = seq * TAG_STRIDE
-    isend = lib._isend_raw
+    me = task.world_rank
+    inject = lib._inject
     irecv = lib._irecv_raw
-    wait = lib._wait
-    for k in range(_ceil_log2(p)):
-        d = 1 << k
-        tag = base + k
-        yield from isend(task, ctx, wr[(me + d) % p], tag, None)
-        yield from wait(task, irecv(task, ctx, wr[(me - d) % p], tag))
-    return None
+    park = lib._park
+    adv_send = lib._adv_send
+    adv_recv = lib._adv_recv
+    for dst, src, off, x in rounds:
+        tag = base + off
+        if dst >= 0:
+            payload = acc if out is None else out(acc, x)
+            if lib.destroyed:
+                lib._check()
+            yield adv_send
+            inject(me, ctx, dst, tag, payload)
+            next(request._req_ids)  # the unbuilt send request's id
+        if src >= 0:
+            req = irecv(task, ctx, src, tag)
+            if not req.done:
+                yield park(task, req)
+                req.waiter = None
+            yield adv_recv
+            acc = req.payload if into is None else into(acc, req.payload, x)
+    return acc if finish is None else finish(acc)
+
+
+def schedule(comm: RealComm, plan, me: int, root: int = 0) -> tuple:
+    """Rank ``me``'s rounds of ``plan`` on ``comm``, built on first use
+    and kept on the communicator, so they die with its incarnation."""
+    key = (plan, me, root)
+    rounds = comm.schedules.get(key)
+    if rounds is None:
+        rounds = comm.schedules[key] = plan(comm.group.world_ranks, me, root)
+    return rounds
 
 
 # ----------------------------------------------------------------------
-# bcast: binomial tree; root returns after injecting its sends
+# round plans: ``plan(world_ranks, me, root)`` -> rank me's rounds
 # ----------------------------------------------------------------------
 
-def bcast(lib, task, comm: RealComm, me: int, data: Any, root: int, seq: int):
-    # hot path: helpers inlined; a binomial bcast uses a single tag
-    p = comm.size
+def dissemination(wr: Sequence[int], me: int, root: int = 0) -> tuple:
+    """barrier: round k sends to ``me + 2^k``, receives from ``me - 2^k``."""
+    p = len(wr)
+    rounds, d = [], 1
+    while d < p:
+        rounds.append((wr[(me + d) % p], wr[(me - d) % p], len(rounds), None))
+        d <<= 1
+    return tuple(rounds)
+
+
+def binomial_down(wr: Sequence[int], me: int, root: int = 0) -> tuple:
+    """bcast, scatter: receive from the parent, then send to each child,
+    farthest first; a send's ``x`` is the child's subtree as a range of
+    ranks relative to ``root``.  The root returns once it has sent."""
+    p = len(wr)
     vr = (me - root) % p
-    ctx = comm.coll_ctx
-    wr = comm.group.world_ranks
-    tag = seq * TAG_STRIDE
+    rounds = []
     mask = 1
     while mask < p:
         if vr & mask:
-            parent = (vr - mask + root) % p
-            req = lib._irecv_raw(task, ctx, wr[parent], tag)
-            data = yield from lib._wait(task, req)
+            rounds.append((-1, wr[(vr - mask + root) % p], 0, None))
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
-        if vr + mask < p:
-            child = (vr + mask + root) % p
-            yield from lib._isend_raw(task, ctx, wr[child], tag, data)
+        child = vr + mask
+        if child < p:
+            rounds.append((wr[(child + root) % p], -1, 0,
+                           (child, min(child + mask, p))))
         mask >>= 1
-    return data
+    return tuple(rounds)
 
 
-# ----------------------------------------------------------------------
-# reduce: binomial tree for commutative ops, gather+fold otherwise
-# ----------------------------------------------------------------------
-
-def reduce_(
-    lib,
-    task,
-    comm: RealComm,
-    me: int,
-    data: Any,
-    op: ReductionOp,
-    root: int,
-    seq: int,
-):
-    p = comm.size
-    if not op.commutative:
-        contribs = yield from gather(lib, task, comm, me, data, root, seq)
-        if me == root:
-            return op.reduce_seq(contribs)
-        return None
+def binomial_up(wr: Sequence[int], me: int, root: int = 0) -> tuple:
+    """reduce, gather: receive from each child, nearest first, then send
+    to the parent."""
+    p = len(wr)
     vr = (me - root) % p
-    acc = data
+    rounds = []
     mask = 1
     while mask < p:
         if vr & mask:
-            parent = (vr - mask + root) % p
-            yield from _send(lib, task, comm, parent, _tag(seq), acc)
-            return None
-        src_vr = vr + mask
-        if src_vr < p:
-            other = yield from _recv(
-                lib, task, comm, (src_vr + root) % p, _tag(seq)
-            )
-            acc = op(acc, other)
+            rounds.append((wr[(vr - mask + root) % p], -1, 0, None))
+            break
+        if vr + mask < p:
+            rounds.append((-1, wr[(vr + mask + root) % p], 0, None))
         mask <<= 1
-    return acc  # only the root reaches here
+    return tuple(rounds)
+
+
+def recursive_doubling(wr: Sequence[int], me: int, root: int = 0) -> tuple:
+    """allreduce: the ranks past the largest power of two ``r <= p``
+    hand their value to ``me - r`` and get the result back from it; the
+    rest exchange with ``me ^ 2^k``.  ``x``: whether a receive folds into
+    the running value (True) or is the result (False)."""
+    p = len(wr)
+    r = 1
+    while r * 2 <= p:
+        r *= 2
+    if me >= r:
+        return ((wr[me - r], -1, 0, None), (-1, wr[me - r], 1, False))
+    extra = me < p - r
+    rounds = [(-1, wr[me + r], 0, True)] if extra else []
+    mask, k = 1, 1
+    while mask < r:
+        partner = wr[me ^ mask]
+        rounds.append((partner, partner, k, True))
+        mask <<= 1
+        k += 1
+    if extra:
+        rounds.append((wr[me + r], -1, 1, None))
+    return tuple(rounds)
+
+
+def bruck_allgather(wr: Sequence[int], me: int, root: int = 0) -> tuple:
+    """allgather: entering round k a rank holds the blocks of ranks
+    ``me .. me + 2^k - 1``; it ships the first ``x = min(2^k, p - 2^k)``
+    of them to ``me - 2^k`` and appends what ``me + 2^k`` ships."""
+    p = len(wr)
+    rounds, d = [], 1
+    while d < p:
+        rounds.append((wr[(me - d) % p], wr[(me + d) % p], len(rounds),
+                       min(d, p - d)))
+        d <<= 1
+    return tuple(rounds)
+
+
+def bruck_alltoall(wr: Sequence[int], me: int, root: int = 0) -> tuple:
+    """alltoall of short blocks: :func:`bruck_alltoall_rounds` for rank
+    ``me``; ``x = (cuts, me, src)`` in ranks of the communicator."""
+    p = len(wr)
+    return tuple(
+        (wr[(me + d) % p], wr[(me - d) % p], 1 + k, (cuts, me, (me - d) % p))
+        for k, (d, cuts) in enumerate(bruck_alltoall_rounds(p)))
+
+
+def pairwise(wr: Sequence[int], me: int, root: int = 0):
+    """alltoall of long blocks: round ``x = i`` sends to ``me + i`` and
+    receives from ``me - i``.  Built per call, never kept: at ``p - 1``
+    rounds a rank, a communicator would hold ``p^2`` of them."""
+    steps = range(1, len(wr))
+    return zip(wr[me + 1:] + wr[:me], wr[:me][::-1] + wr[me + 1:][::-1],
+               steps, steps)
+
+
+def chain(wr: Sequence[int], me: int, root: int = 0) -> tuple:
+    """scan: receive the prefix from ``me - 1``, pass it on to ``me + 1``."""
+    rounds = []
+    if me > 0:
+        rounds.append((-1, wr[me - 1], 0, None))
+    if me < len(wr) - 1:
+        rounds.append((wr[me + 1], -1, 0, None))
+    return tuple(rounds)
 
 
 # ----------------------------------------------------------------------
-# allreduce: fold-in extras + recursive doubling (commutative);
-# reduce+bcast otherwise
+# the algorithms: a schedule and what a round sends and folds in
 # ----------------------------------------------------------------------
+
+def barrier(lib, task, comm: RealComm, me: int, seq: int):
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, dissemination, me), None)
+
+
+def bcast(lib, task, comm: RealComm, me: int, data: Any, root: int, seq: int):
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, binomial_down, me, root), data)
+
+
+def reduce_(lib, task, comm: RealComm, me: int, data: Any, op: ReductionOp,
+            root: int, seq: int):
+    """Binomial tree for commutative ops, gather + fold at the root
+    otherwise; ranks other than the root return None."""
+    if not op.commutative:
+        return gather(lib, task, comm, me, data, root, seq, then=op.reduce_seq)
+    fold = op.fn
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, binomial_up, me, root), data,
+                      into=lambda acc, got, _x: fold(acc, got),
+                      finish=None if me == root else lambda _acc: None)
+
 
 def allreduce(
     lib, task, comm: RealComm, me: int, data: Any, op: ReductionOp, seq: int
 ):
-    p = comm.size
+    """Recursive doubling for commutative ops; reduce + bcast otherwise."""
     if not op.commutative:
-        acc = yield from reduce_(lib, task, comm, me, data, op, 0, seq)
-        # chain a bcast on the same instance using a high round offset
-        result = yield from _bcast_rounds(
-            lib, task, comm, me, acc, 0, seq, round_base=TAG_STRIDE // 2
-        )
-        return result
-
-    # hot path: helpers inlined (recursive doubling; rounds << stride)
-    r = 1
-    while r * 2 <= p:
-        r *= 2
-    extra = p - r
-    acc = data
-    ctx = comm.coll_ctx
-    wr = comm.group.world_ranks
-    base = seq * TAG_STRIDE
-    isend = lib._isend_raw
-    irecv = lib._irecv_raw
-    wait = lib._wait
-    if me >= r:
-        yield from isend(task, ctx, wr[me - r], base, acc)
-    else:
-        if me < extra:
-            other = yield from wait(task, irecv(task, ctx, wr[me + r], base))
-            acc = op(acc, other)
-        mask = 1
-        rnd = 1
-        while mask < r:
-            partner = wr[me ^ mask]
-            tag = base + rnd
-            yield from isend(task, ctx, partner, tag, acc)
-            other = yield from wait(task, irecv(task, ctx, partner, tag))
-            acc = op(acc, other)
-            mask <<= 1
-            rnd += 1
-        if me < extra:
-            yield from isend(task, ctx, wr[me + r], base + 1, acc)
-    if me >= r:
-        acc = yield from wait(task, irecv(task, ctx, wr[me - r], base + 1))
-    return acc
+        return _reduce_then_bcast(lib, task, comm, me, data, op, seq)
+    fold = op.fn
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, recursive_doubling, me), data,
+                      into=lambda acc, got, folds: fold(acc, got) if folds else got)
 
 
-def _bcast_rounds(lib, task, comm, me, data, root, seq, round_base):
-    """Binomial bcast using tags offset by ``round_base`` (for chaining)."""
+def _reduce_then_bcast(lib, task, comm, me, data, op, seq):
+    acc = yield from reduce_(lib, task, comm, me, data, op, 0, seq)
+    # the bcast is chained on the same instance at a high round offset
+    return (yield from run_rounds(lib, task, comm,
+                                  seq * TAG_STRIDE + TAG_STRIDE // 2,
+                                  schedule(comm, binomial_down, me, 0), acc))
+
+
+def gather(lib, task, comm: RealComm, me: int, data: Any, root: int, seq: int,
+           then=None) -> Any:
+    """The root gets the contributions in rank order (``then(list)`` if
+    given), everyone else None."""
     p = comm.size
-    vr = (me - root) % p
-    mask = 1
-    while mask < p:
-        if vr & mask:
-            parent = (vr - mask + root) % p
-            data = yield from _recv(lib, task, comm, parent, _tag(seq, round_base))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vr + mask < p:
-            child = (vr + mask + root) % p
-            yield from _send(lib, task, comm, child, _tag(seq, round_base), data)
-        mask >>= 1
-    return data
 
-
-# ----------------------------------------------------------------------
-# gather / scatter: binomial trees keyed by rank relative to root
-# ----------------------------------------------------------------------
-
-def gather(
-    lib, task, comm: RealComm, me: int, data: Any, root: int, seq: int
-) -> Any:
-    p = comm.size
-    vr = (me - root) % p
-    contrib = {me: data}
-    mask = 1
-    while mask < p:
-        if vr & mask:
-            parent = (vr - mask + root) % p
-            yield from _send(lib, task, comm, parent, _tag(seq, 0), contrib)
+    def finish(contrib):
+        if me != root:
             return None
-        src_vr = vr + mask
-        if src_vr < p:
-            sub = yield from _recv(
-                lib, task, comm, (src_vr + root) % p, _tag(seq, 0)
-            )
-            contrib.update(sub)
-        mask <<= 1
-    return [contrib[i] for i in range(p)]  # root only
+        ranked = [contrib[i] for i in range(p)]
+        return ranked if then is None else then(ranked)
+
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, binomial_up, me, root), {me: data},
+                      into=_merge, finish=finish)
 
 
-def scatter(
-    lib,
-    task,
-    comm: RealComm,
-    me: int,
-    data: Optional[List[Any]],
-    root: int,
-    seq: int,
-):
+def scatter(lib, task, comm: RealComm, me: int, data: Optional[List[Any]],
+            root: int, seq: int):
     p = comm.size
     vr = (me - root) % p
+    chunk = None
     if vr == 0:
         if data is None or len(data) != p:
             raise MpiError(f"scatter root needs a list of {p} items")
         chunk = {v: data[(v + root) % p] for v in range(p)}
-        low = 1
-        while low < p:
-            low <<= 1
-    else:
-        low = vr & (-vr)
-        parent_vr = vr - low
-        chunk = yield from _recv(
-            lib, task, comm, (parent_vr + root) % p, _tag(seq, 0)
-        )
-    cm = low >> 1
-    while cm:
-        child_vr = vr + cm
-        if child_vr < p:
-            sub = {v: chunk[v] for v in range(child_vr, min(child_vr + cm, p))}
-            yield from _send(
-                lib, task, comm, (child_vr + root) % p, _tag(seq, 0), sub
-            )
-        cm >>= 1
-    return chunk[vr]
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, binomial_down, me, root), chunk,
+                      out=lambda chunk, span: {v: chunk[v] for v in range(*span)},
+                      finish=lambda chunk: chunk[vr])
 
-
-# ----------------------------------------------------------------------
-# allgather: Bruck (what MPICH runs for short blocks, any p)
-# ----------------------------------------------------------------------
 
 def allgather(lib, task, comm: RealComm, me: int, data: Any, seq: int):
-    # hot path: helpers inlined (ceil(log2 p) rounds << TAG_STRIDE).
-    # Entering round k a rank holds the blocks of ranks me .. me+2^k-1;
-    # it ships the first min(2^k, p-2^k) of them to rank me-2^k and
-    # appends what rank me+2^k ships.  Sizes ride along (SizedBlocks):
-    # a block is measured once, by its owner, however often forwarded.
+    """Bruck at every size.  Sizes ride along (SizedBlocks): a block is
+    measured once, by its owner, however often forwarded."""
     p = comm.size
-    blocks: List[Any] = [data]
-    sizes: List[int] = [payload_nbytes(data)]
-    ctx = comm.coll_ctx
-    wr = comm.group.world_ranks
-    tag = seq * TAG_STRIDE
-    isend = lib._isend_raw
-    irecv = lib._irecv_raw
-    wait = lib._wait
-    d = 1
-    while d < p:
-        n = min(d, p - d)
-        yield from isend(task, ctx, wr[(me - d) % p], tag,
-                         SizedBlocks(blocks[:n], sizes[:n]))
-        got = yield from wait(task, irecv(task, ctx, wr[(me + d) % p], tag))
-        blocks += got.blocks
-        sizes += got.sizes
-        d <<= 1
-        tag += 1
-    # blocks[i] is rank (me + i) % p's: rotate into rank order
-    return blocks[p - me:] + blocks[:p - me]
+    # blocks[i] is rank (me + i) % p's: rotated into rank order at the end
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, bruck_allgather, me),
+                      ([data], [payload_nbytes(data)]),
+                      out=lambda acc, n: SizedBlocks(acc[0][:n], acc[1][:n]),
+                      into=_append,
+                      finish=lambda acc: acc[0][p - me:] + acc[0][:p - me])
+
+
+def _merge(acc, got, _x):
+    acc.update(got)
+    return acc
+
+
+def _append(acc, got, _n):
+    blocks, sizes = acc
+    blocks += got.blocks
+    sizes += got.sizes
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -472,9 +471,8 @@ def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
     comes back as one; the rows of one call are all of one kind.  Rows
     that straddle the threshold or differ in kind raise
     :class:`MpiError` (see :func:`alltoall_mismatch`)."""
-    # hot path: helpers inlined (MANA's drain runs one of these over the
-    # whole world per checkpoint round); tag offsets stay below p, so
-    # one check covers every round of either algorithm
+    # tag offsets stay below p, so one check covers every round of
+    # either algorithm
     p = comm.size
     if len(data) != p:
         raise MpiError(f"alltoall needs a list of {p} items, got {len(data)}")
@@ -485,32 +483,31 @@ def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
     # is measured once, by its owner, however often it is forwarded.
     held = join_blocks((data[me:], data[:me]))
     sizes, longest = alltoall_row_sizes(held)
-    ctx = comm.coll_ctx
-    wr = comm.group.world_ranks
-    tag = seq * TAG_STRIDE + 1
-    isend = lib._isend_raw
-    irecv = lib._irecv_raw
-    wait = lib._wait
+    base = seq * TAG_STRIDE
 
     if longest > ALLTOALL_SHORT_MSG:
         result: List[Any] = [None] * p
         result[me] = data[me]
-        for i in range(1, p):
-            dst = (me + i) % p
-            src = (me - i) % p
-            yield from isend(task, ctx, wr[dst], tag, data[dst])
-            result[src] = yield from wait(task, irecv(task, ctx, wr[src], tag))
-            tag += 1
-        return result
 
-    for d, cuts in bruck_alltoall_rounds(p):
-        yield from isend(task, ctx, wr[(me + d) % p], tag,
-                         bruck_pack(cuts, held, sizes))
-        src = (me - d) % p
-        got = yield from wait(task, irecv(task, ctx, wr[src], tag))
-        bruck_unpack(cuts, held, sizes, got, me, src)
-        tag += 1
-    return join_blocks((held[me::-1], held[:me:-1]))
+        def place(acc, got, i):
+            acc[(me - i) % p] = got
+            return acc
+
+        return run_rounds(lib, task, comm, base,
+                          pairwise(comm.group.world_ranks, me), result,
+                          out=lambda _acc, i: data[(me + i) % p], into=place)
+
+    return run_rounds(lib, task, comm, base, schedule(comm, bruck_alltoall, me),
+                      (held, sizes), out=lambda acc, x: bruck_pack(x[0], *acc),
+                      into=_bruck_unpacked,
+                      finish=lambda acc: join_blocks((acc[0][me::-1],
+                                                      acc[0][:me:-1])))
+
+
+def _bruck_unpacked(acc, got, x):
+    cuts, me, src = x
+    bruck_unpack(cuts, acc[0], acc[1], got, me, src)
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -518,14 +515,10 @@ def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
 # ----------------------------------------------------------------------
 
 def scan(lib, task, comm: RealComm, me: int, data: Any, op: ReductionOp, seq: int):
-    p = comm.size
-    acc = data
-    if me > 0:
-        prefix = yield from _recv(lib, task, comm, me - 1, _tag(seq, 0))
-        acc = op(prefix, data)
-    if me < p - 1:
-        yield from _send(lib, task, comm, me + 1, _tag(seq, 0), acc)
-    return acc
+    fold = op.fn
+    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
+                      schedule(comm, chain, me), data,
+                      into=lambda acc, prefix, _x: fold(prefix, acc))
 
 
 def reduce_scatter_block(

@@ -33,6 +33,7 @@ class RealComm:
         "_coll_seq",
         "freed",
         "name",
+        "schedules",
     )
 
     def __init__(self, pt2pt_ctx: int, coll_ctx: int, group: Group, name: str = ""):
@@ -42,6 +43,9 @@ class RealComm:
         self._coll_seq: Dict[int, int] = {wr: 0 for wr in group.world_ranks}
         self.freed = False
         self.name = name or f"comm#{pt2pt_ctx}"
+        #: collective round schedules, ``(plan, me, root)`` -> rounds
+        #: (see :func:`repro.simmpi.collectives.schedule`)
+        self.schedules: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     @property

@@ -5,7 +5,7 @@ half.  At restart, MANA destroys the instance and creates a fresh one:
 context IDs, communicators, and requests all change identity, which is
 the entire reason MANA virtualizes them.
 
-Blocking calls are generator coroutines (the caller parks inside the
+Blocking calls return generator coroutines (the caller parks inside the
 library, the state MANA's algorithms exist to avoid at checkpoint time);
 purely local calls (``test``, ``iprobe``, group operations, rank/size
 queries) are plain methods.
@@ -164,9 +164,7 @@ class MpiLibrary:
             self._check()
         yield self._adv_send
         src = task.world_rank
-        nbytes = payload_nbytes(payload)
-        msg = Message(src, dst_world, ctx, tag, payload, nbytes)
-        self.network.inject(msg)
+        nbytes = self._inject(src, ctx, dst_world, tag, payload)
         req = RealRequest(_SEND, ctx, src, tag)
         req.nbytes = nbytes
         # equivalent to req.complete(payload=None, status=None): no
@@ -174,12 +172,29 @@ class MpiLibrary:
         req.done = True
         return req
 
+    # the send and receive halves around the yields, shared by the
+    # primitives here and the collectives' round executor
+    def _inject(self, src: int, ctx: int, dst_world: int, tag: int, payload: Any) -> int:
+        """An eager send once its overhead is paid: the message enters
+        the fabric; returns its size."""
+        nbytes = payload_nbytes(payload)
+        self.network.inject(Message(src, dst_world, ctx, tag, payload, nbytes))
+        return nbytes
+
     def _irecv_raw(self, task: RankTask, ctx: int, src_world, tag) -> RealRequest:
         if self.destroyed:
             self._check()
         req = RealRequest(_RECV, ctx, src_world, tag)
         self.endpoints[task.world_rank].post_recv(req)
         return req
+
+    def _park(self, task: RankTask, req: RealRequest) -> Park:
+        """Make ``task`` the waiter of pending ``req``: the Park to yield
+        until it completes."""
+        req.waiter = task.proc
+        if self._tracer.enabled:
+            return Park(f"MPI_Wait({req!r}) rank {task.world_rank}")
+        return _PARK_WAIT
 
     def _wait(self, task: RankTask, req):
         """Native blocking wait: parks until the request completes."""
@@ -192,13 +207,9 @@ class MpiLibrary:
             req.active = False
             return payload
         if not req.done:
-            req.waiter = task.proc
             if req.kind is _COLL:
                 req.on_complete(lambda _r, p=task.proc: self.sched.try_wake(p))
-            if self._tracer.enabled:
-                yield Park(f"MPI_Wait({req!r}) rank {task.world_rank}")
-            else:
-                yield _PARK_WAIT
+            yield self._park(task, req)
             req.waiter = None
         if req.kind is _RECV:
             yield self._adv_recv
@@ -350,69 +361,60 @@ class MpiLibrary:
         return Status(source=src, tag=status.tag, count=status.count)
 
     # ------------------------------------------------------------------
-    # blocking collectives
+    # blocking collectives: each entry point runs the prologue and
+    # returns the algorithm's own generator (no forwarding frame)
     # ------------------------------------------------------------------
     def _coll_prologue(self, task: RankTask, comm: RealComm, name: str):
-        self._check()
+        if self.destroyed:
+            self._check()
         self._count(name)
-        comm.check_alive()
+        if comm.freed:
+            comm.check_alive()
         me = comm.rank_of(task.world_rank)
         seq = comm.next_coll_seq(task.world_rank)
         return me, seq
 
     def barrier(self, task: RankTask, comm: RealComm):
         me, seq = self._coll_prologue(task, comm, "barrier")
-        yield from coll.barrier(self, task, comm, me, seq)
-        return None
+        return coll.barrier(self, task, comm, me, seq)
 
     def bcast(self, task: RankTask, comm: RealComm, data: Any, root: int):
         me, seq = self._coll_prologue(task, comm, "bcast")
-        result = yield from coll.bcast(self, task, comm, me, data, root, seq)
-        return result
+        return coll.bcast(self, task, comm, me, data, root, seq)
 
     def reduce(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp, root: int):
         me, seq = self._coll_prologue(task, comm, "reduce")
-        result = yield from coll.reduce_(self, task, comm, me, data, op, root, seq)
-        return result
+        return coll.reduce_(self, task, comm, me, data, op, root, seq)
 
     def allreduce(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp):
         me, seq = self._coll_prologue(task, comm, "allreduce")
-        result = yield from coll.allreduce(self, task, comm, me, data, op, seq)
-        return result
+        return coll.allreduce(self, task, comm, me, data, op, seq)
 
     def gather(self, task: RankTask, comm: RealComm, data: Any, root: int):
         me, seq = self._coll_prologue(task, comm, "gather")
-        result = yield from coll.gather(self, task, comm, me, data, root, seq)
-        return result
+        return coll.gather(self, task, comm, me, data, root, seq)
 
     def scatter(self, task: RankTask, comm: RealComm, data: Optional[List[Any]], root: int):
         me, seq = self._coll_prologue(task, comm, "scatter")
-        result = yield from coll.scatter(self, task, comm, me, data, root, seq)
-        return result
+        return coll.scatter(self, task, comm, me, data, root, seq)
 
     def allgather(self, task: RankTask, comm: RealComm, data: Any):
         me, seq = self._coll_prologue(task, comm, "allgather")
-        result = yield from coll.allgather(self, task, comm, me, data, seq)
-        return result
+        return coll.allgather(self, task, comm, me, data, seq)
 
     def alltoall(self, task: RankTask, comm: RealComm, data: List[Any]):
         me, seq = self._coll_prologue(task, comm, "alltoall")
-        result = yield from coll.alltoall(self, task, comm, me, data, seq)
-        return result
+        return coll.alltoall(self, task, comm, me, data, seq)
 
     def scan(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp):
         me, seq = self._coll_prologue(task, comm, "scan")
-        result = yield from coll.scan(self, task, comm, me, data, op, seq)
-        return result
+        return coll.scan(self, task, comm, me, data, op, seq)
 
     def reduce_scatter_block(
         self, task: RankTask, comm: RealComm, data: List[Any], op: ReductionOp
     ):
         me, seq = self._coll_prologue(task, comm, "reduce_scatter")
-        result = yield from coll.reduce_scatter_block(
-            self, task, comm, me, data, op, seq
-        )
-        return result
+        return coll.reduce_scatter_block(self, task, comm, me, data, op, seq)
 
     # ------------------------------------------------------------------
     # non-blocking collectives: the algorithm runs in a helper process

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -21,6 +20,10 @@ FaultFilter = Callable[[Message], Optional[tuple]]
 _by_msg_id = attrgetter("msg_id")
 
 
+#: a channel's key is ``src << PAIR_SHIFT | dst`` (world ranks fit)
+PAIR_SHIFT = 32
+
+
 class NetworkStats:
     """Cumulative traffic counters (used by benches and Figure 4).
 
@@ -31,6 +34,12 @@ class NetworkStats:
     recorded exactly once, at injection — :meth:`record` refuses
     double-recording (the accounting-drift bug class where a retried
     injection inflates one side of the pair ledger).
+
+    The totals live in one *channel record* per pair that ever carried
+    a message, ``channels[src << PAIR_SHIFT | dst] = [last_arrival,
+    messages, bytes]``; the fabric keeps its per-pair FIFO clamp in the
+    first field.  ``pair_messages``/``pair_bytes`` are dicts keyed
+    ``(src, dst)``, built from the records when read.
     """
 
     def __init__(self) -> None:
@@ -38,11 +47,11 @@ class NetworkStats:
         self.bytes = 0
         self.intranode_messages = 0
         self.internode_messages = 0
-        self.pair_messages: Dict[Tuple[int, int], int] = defaultdict(int)
-        self.pair_bytes: Dict[Tuple[int, int], int] = defaultdict(int)
+        self.channels: Dict[int, list] = {}
         self._recorded_high = 0  # highest msg_id seen (ids are monotone)
 
-    def record(self, msg: Message, intranode: bool) -> None:
+    def record(self, msg: Message, intranode: bool) -> list:
+        """Count ``msg``; returns its pair's channel record."""
         msg_id = msg.msg_id
         if msg_id <= self._recorded_high:
             raise SimulationError(
@@ -52,13 +61,26 @@ class NetworkStats:
         nbytes = msg.nbytes
         self.messages += 1
         self.bytes += nbytes
-        pair = (msg.src, msg.dst)
-        self.pair_messages[pair] += 1
-        self.pair_bytes[pair] += nbytes
+        key = msg.src << PAIR_SHIFT | msg.dst
+        try:
+            chan = self.channels[key]
+        except KeyError:
+            chan = self.channels[key] = [-1.0, 0, 0]
+        chan[1] += 1
+        chan[2] += nbytes
         if intranode:
             self.intranode_messages += 1
         else:
             self.internode_messages += 1
+        return chan
+
+    @property
+    def pair_messages(self) -> Dict[Tuple[int, int], int]:
+        return {divmod(k, 1 << PAIR_SHIFT): c[1] for k, c in self.channels.items()}
+
+    @property
+    def pair_bytes(self) -> Dict[Tuple[int, int], int]:
+        return {divmod(k, 1 << PAIR_SHIFT): c[2] for k, c in self.channels.items()}
 
 
 class Network:
@@ -68,7 +90,9 @@ class Network:
     nodes is ``latency + n / bandwidth``; same-node pairs use the faster
     intranode constants.  MPI's non-overtaking rule is enforced by
     clamping each arrival to be no earlier than the previous arrival on
-    the same (src, dst) pair.
+    the same (src, dst) pair, read from the pair's channel record
+    (:class:`NetworkStats`).  A message naming a rank outside
+    ``[0, nranks)`` is a typed error, never another pair's traffic.
 
     A message is *in flight* from :meth:`inject` until the destination
     endpoint's delivery callback runs.  The in-flight index holds one
@@ -101,7 +125,6 @@ class Network:
         self._net_bw = machine.net_bandwidth
         self._tracer = sched.tracer
         self._endpoints: List[Optional[DeliveryFn]] = [None] * nranks
-        self._last_arrival: Dict[Tuple[int, int], float] = {}
         #: in-flight index: ``_in_flight[dst][src]`` is the FIFO of
         #: messages src has in flight to dst; a FIFO exists only while
         #: it is non-empty
@@ -153,6 +176,9 @@ class Network:
             raise SimulationError("inject() on a sealed (torn down) network")
         src = msg.src
         dst = msg.dst
+        n = self.nranks
+        if not (0 <= src < n and 0 <= dst < n):
+            raise SimulationError(f"{msg!r} names a rank outside [0, {n})")
         if self._endpoints[dst] is None:
             raise SimulationError(f"no endpoint attached for rank {dst}")
         sched = self._sched
@@ -186,7 +212,6 @@ class Network:
                     raise SimulationError(
                         f"unknown fault-filter action {action!r}"
                     )
-        pair = (src, dst)
         nbytes = msg.nbytes
         node = self._node
         intranode = node[src] == node[dst]
@@ -195,11 +220,10 @@ class Network:
         else:
             transit = self._net_lat + nbytes / self._net_bw
         arrival = now + transit + extra_delay
-        last_arrival = self._last_arrival
-        prev = last_arrival.get(pair, -1.0)
-        if arrival <= prev:
-            arrival = prev + 1e-12  # preserve per-pair FIFO with distinct times
-        last_arrival[pair] = arrival
+        chan = self.stats.record(msg, intranode)
+        if arrival <= chan[0]:
+            arrival = chan[0] + 1e-12  # preserve per-pair FIFO with distinct times
+        chan[0] = arrival
         queues = self._in_flight[dst]
         queue = queues.get(src)
         if queue is None:
@@ -210,7 +234,6 @@ class Network:
         self._in_flight_total = total
         if total > self.in_flight_peak:
             self.in_flight_peak = total
-        self.stats.record(msg, intranode)
         sched.schedule_call_at(arrival, self._deliver, msg)
         tr = self._tracer
         if tr.enabled:

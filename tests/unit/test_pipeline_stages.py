@@ -662,6 +662,47 @@ class TestLayeringLint:
         )
         assert check_layering.forwarding_generators(clean) == []
 
+    def test_lint_catches_a_library_forwarding_to_an_algorithm(self, tmp_path):
+        sys.path.insert(0, str(REPO / "tools"))
+        try:
+            import check_layering
+        finally:
+            sys.path.pop(0)
+        bad = tmp_path / "library.py"
+        bad.write_text(
+            "class MpiLibrary:\n"
+            "    def barrier(self, task, comm):\n"
+            "        me, seq = self._coll_prologue(task, comm, 'barrier')\n"
+            "        yield from coll.barrier(self, task, comm, me, seq)\n"
+            "        return None\n"
+            "    def bcast(self, task, comm, data, root):\n"
+            "        me, seq = self._coll_prologue(task, comm, 'bcast')\n"
+            "        result = yield from coll.bcast(self, task, comm, me, data, root, seq)\n"
+            "        return result\n"
+            "    def scan(self, task, comm, data, op):\n"
+            "        'MPI_Scan.'\n"
+            "        return (yield from coll.scan(self, task, comm, 0, data, op, 0))\n"
+        )
+        found = check_layering.library_forwarders(bad)
+        assert [name for _lineno, name in found] == ["barrier", "bcast", "scan"]
+        clean = tmp_path / "clean.py"
+        clean.write_text(
+            "class MpiLibrary:\n"
+            "    def barrier(self, task, comm):\n"
+            "        me, seq = self._coll_prologue(task, comm, 'barrier')\n"
+            "        return coll.barrier(self, task, comm, me, seq)\n"  # returned
+            "    def win_fence(self, task, win):\n"
+            "        yield from coll.barrier(self, task, win.comm, 0, 0)\n"
+            "        yield Advance(0.0)\n"                    # work after it
+            "    def send(self, task, comm, dest, tag, payload):\n"
+            "        yield from self.isend(task, comm, dest, tag, payload)\n"
+            "        return None\n"                           # not an algorithm
+            "    def twice(self, task, comm):\n"
+            "        yield from coll.barrier(self, task, comm, 0, 0)\n"
+            "        return (yield from coll.barrier(self, task, comm, 0, 1))\n"
+        )
+        assert check_layering.library_forwarders(clean) == []
+
     def test_lint_catches_an_upper_layer_import_in_des_core(self, tmp_path):
         sys.path.insert(0, str(REPO / "tools"))
         try:

@@ -81,6 +81,22 @@ class TestDelivery:
             net.inject(Message(src=0, dst=1, context_id=0, tag=0,
                                payload=None, nbytes=0))
 
+    @pytest.mark.parametrize("src,dst", [(0, -1), (0, 4), (-1, 0), (4, 0)])
+    def test_inject_refuses_ranks_outside_the_fabric(self, src, dst):
+        # dst -1 used to reach rank 3's endpoint and count as pair (0, -1);
+        # dst 4 raised a bare IndexError; a pair's channel key would alias
+        sched, net = make_net(4)
+        got = {r: [] for r in range(4)}
+        for r in range(4):
+            attach_sink(net, r, got[r])
+        with pytest.raises(SimulationError, match=r"outside \[0, 4\)"):
+            net.inject(Message(src=src, dst=dst, context_id=0, tag=0,
+                               payload=None, nbytes=8))
+        sched.run()
+        assert all(not msgs for msgs in got.values())
+        assert net.in_flight_count() == 0
+        assert net.stats.messages == 0 and net.stats.pair_messages == {}
+
 
 class TestInFlightAccounting:
     def test_in_flight_bytes_by_pair(self):
@@ -133,6 +149,18 @@ class TestInFlightAccounting:
         sched.run()
         assert net.stats.messages == 5
         assert net.stats.bytes == 500
+
+    def test_channel_records_read_as_pair_dicts(self):
+        sched, net = make_net(3)
+        for r in range(3):
+            net.attach_endpoint(r, lambda m: None)
+        for src, dst, nbytes in [(0, 1, 10), (2, 0, 5), (0, 1, 7)]:
+            net.inject(Message(src=src, dst=dst, context_id=0, tag=0,
+                               payload=None, nbytes=nbytes))
+        sched.run()
+        assert net.stats.pair_messages == {(0, 1): 2, (2, 0): 1}
+        assert net.stats.pair_bytes == {(0, 1): 17, (2, 0): 5}
+        assert len(net.stats.channels) == 2
 
 
 class TestOob:

@@ -74,7 +74,12 @@ Eight rules, all enforced by walking module ASTs:
    to every resume of the call it forwards and does nothing else; the
    handler a registry row names is the body itself, and a shared body
    is *called* (``return self.other(...)`` from a plain function), not
-   forwarded to.
+   forwarded to.  Likewise a library collective costs one generator:
+   no ``MpiLibrary`` method (``repro/simmpi/library.py``) ends in a
+   forward to an algorithm — ``[x =] yield from coll.f(...)`` then
+   ``return x`` (or ``return``/``return None``), or
+   ``return (yield from coll.f(...))`` — with no other yield before
+   it: the prologue runs in a plain method that returns ``coll.f(...)``.
 
 Usage: python tools/check_layering.py  (exit 0 = clean, 1 = violation)
 """
@@ -132,6 +137,9 @@ CAMPAIGN_PKG = "repro.campaign"
 #: the lowering stage, whose methods must not be forwarding generators
 LOWERING = SRC / "repro" / "mana" / "pipeline" / "lowering.py"
 LOWERING_CLASS = "SemanticLowering"
+#: the lower half, whose methods must not forward to an algorithm
+LIBRARY = SRC / "repro" / "simmpi" / "library.py"
+LIBRARY_CLASS = "MpiLibrary"
 
 
 def _imports(path: Path) -> List[Tuple[int, str, str]]:
@@ -288,24 +296,45 @@ def campaign_reverse_violations() -> List[str]:
     return bad
 
 
-def _is_self_yield_from(node) -> bool:
-    """``yield from self.<method>(...)``"""
+def _yields_from(node, owner: str) -> bool:
+    """``yield from <owner>.<name>(...)``"""
     if not isinstance(node, ast.YieldFrom):
         return False
     call = node.value
     return (isinstance(call, ast.Call)
             and isinstance(call.func, ast.Attribute)
             and isinstance(call.func.value, ast.Name)
-            and call.func.value.id == "self")
+            and call.func.value.id == owner)
 
 
-def forwarding_generators(path: Path) -> List[Tuple[int, str]]:
-    """Rule 8 on one file: (lineno, name) of every ``SemanticLowering``
-    method that only forwards to another generator method."""
+def _forwards(stmts, owner: str, bare_return: bool) -> bool:
+    """``return (yield from owner.f(...))``, ``x = yield from
+    owner.f(...)`` then ``return x`` or, with ``bare_return``,
+    ``yield from owner.f(...)`` then ``return``/``return None``."""
+    if len(stmts) == 1:
+        ret = stmts[0]
+        return isinstance(ret, ast.Return) and _yields_from(ret.value, owner)
+    if len(stmts) != 2 or not isinstance(stmts[1], ast.Return):
+        return False
+    first, ret = stmts
+    if isinstance(first, ast.Assign):
+        return (len(first.targets) == 1
+                and isinstance(first.targets[0], ast.Name)
+                and _yields_from(first.value, owner)
+                and isinstance(ret.value, ast.Name)
+                and ret.value.id == first.targets[0].id)
+    return (bare_return and isinstance(first, ast.Expr)
+            and _yields_from(first.value, owner)
+            and (ret.value is None
+                 or (isinstance(ret.value, ast.Constant)
+                     and ret.value.value is None)))
+
+
+def _methods(path: Path, class_name: str):
+    """(function node, body without its docstring) of each method."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = []
     for cls in ast.walk(tree):
-        if not (isinstance(cls, ast.ClassDef) and cls.name == LOWERING_CLASS):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == class_name):
             continue
         for fn in cls.body:
             if not isinstance(fn, ast.FunctionDef):
@@ -315,36 +344,44 @@ def forwarding_generators(path: Path) -> List[Tuple[int, str]]:
                     and isinstance(body[0].value, ast.Constant)
                     and isinstance(body[0].value.value, str)):
                 body = body[1:]  # docstring
-            if len(body) == 1:
-                ret = body[0]
-                forwards = (isinstance(ret, ast.Return)
-                            and _is_self_yield_from(ret.value))
-            elif len(body) == 2:
-                assign, ret = body
-                forwards = (
-                    isinstance(assign, ast.Assign)
-                    and len(assign.targets) == 1
-                    and isinstance(assign.targets[0], ast.Name)
-                    and _is_self_yield_from(assign.value)
-                    and isinstance(ret, ast.Return)
-                    and isinstance(ret.value, ast.Name)
-                    and ret.value.id == assign.targets[0].id
-                )
-            else:
-                forwards = False
-            if forwards:
+            yield fn, body
+
+
+def forwarding_generators(path: Path) -> List[Tuple[int, str]]:
+    """Rule 8 on one file: (lineno, name) of every ``SemanticLowering``
+    method that only forwards to another generator method."""
+    return [(fn.lineno, fn.name) for fn, body in _methods(path, LOWERING_CLASS)
+            if _forwards(body, "self", bare_return=False)]
+
+
+def library_forwarders(path: Path) -> List[Tuple[int, str]]:
+    """Rule 8 on the lower half: (lineno, name) of every ``MpiLibrary``
+    method whose only yield is a closing forward to a ``coll.`` algorithm."""
+    found = []
+    for fn, body in _methods(path, LIBRARY_CLASS):
+        for tail in (1, 2):
+            head = body[:-tail]
+            if (_forwards(body[-tail:], "coll", bare_return=True)
+                    and not any(isinstance(n, (ast.Yield, ast.YieldFrom))
+                                for stmt in head for n in ast.walk(stmt))):
                 found.append((fn.lineno, fn.name))
+                break
     return found
 
 
 def forwarding_violations() -> List[str]:
-    rel = LOWERING.relative_to(REPO)
-    return [
-        f"{rel}:{lineno}: {LOWERING_CLASS}.{name} is a forwarding "
-        "generator (make it the body, or call the shared body from a "
-        "plain function)"
-        for lineno, name in forwarding_generators(LOWERING)
-    ]
+    bad = []
+    for path, cls, found, fix in (
+        (LOWERING, LOWERING_CLASS, forwarding_generators,
+         "make it the body, or call the shared body from a plain function"),
+        (LIBRARY, LIBRARY_CLASS, library_forwarders,
+         "run the prologue in a plain method and return the algorithm's "
+         "generator"),
+    ):
+        rel = path.relative_to(REPO)
+        bad.extend(f"{rel}:{lineno}: {cls}.{name} is a forwarding "
+                   f"generator ({fix})" for lineno, name in found(path))
+    return bad
 
 
 def main() -> int:
@@ -367,7 +404,8 @@ def main() -> int:
             "nothing from repro.hosts or repro.simnet; repro.campaign "
             "imports only bench/util/errors and the app/session entry "
             "points, and nothing below it imports repro.campaign; no "
-            "SemanticLowering method only forwards to another generator",
+            "SemanticLowering method only forwards to another generator "
+            "and no MpiLibrary method ends in a forward to coll",
             file=sys.stderr,
         )
         return 1
@@ -378,7 +416,7 @@ def main() -> int:
           "repro.util/repro.errors; the portable upper half imports "
           "neither repro.hosts nor repro.simnet; repro.campaign touches "
           "only entry points and no lower layer imports it back; "
-          "SemanticLowering has no forwarding generators")
+          "SemanticLowering and MpiLibrary have no forwarding generators")
     return 0
 
 
