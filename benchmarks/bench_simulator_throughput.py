@@ -15,20 +15,14 @@ substrate.  Two workloads are measured:
 Run ``python benchmarks/bench_simulator_throughput.py --json`` to
 measure both and commit the trajectory (``results/
 simulator_throughput.json`` + ``BENCH_throughput.json`` with a
-provenance stamp), or ``--smoke`` for the untimed CI pass.  Each
-``--json`` run appends its full-stack point, stamped with its own
-provenance (and ``--note``), to ``full_stack.trajectory``, carrying the
-earlier points forward from the ``BENCH_throughput.json`` it replaces;
-a before/after pair is two runs of this script, one per tree.
+provenance stamp), or ``--smoke`` for the untimed CI pass.
 """
 
-import json
-import pathlib
 import time
 
 from repro.apps.dft_proxy import DftConfig, DftProxy
 from repro.apps.workloads import workload
-from repro.bench import provenance, save_result, write_bench_json
+from repro.bench import save_result, write_bench_json
 from repro.des.scheduler import Scheduler
 from repro.des.syscalls import Advance
 from repro.hosts import CORI_HASWELL
@@ -92,19 +86,6 @@ def measure(rounds: int = 3) -> dict:
     }
 
 
-def full_stack_trajectory(previous: dict, point: dict) -> list:
-    """Earlier full-stack points, carried forward from the ``previous``
-    BENCH file (one that predates trajectories holds its single point
-    under its top-level provenance), then ``point``."""
-    old = previous.get("full_stack", {})
-    points = list(old.get("trajectory", []))
-    if not points and "events_per_sec" in old:
-        points.append(dict(previous.get("provenance", {}),
-                           events=old["events"],
-                           events_per_sec=old["events_per_sec"]))
-    return points + [point]
-
-
 def test_event_throughput(benchmark):
     events = benchmark.pedantic(run_workload, rounds=3, iterations=1,
                                 warmup_rounds=1)
@@ -147,8 +128,6 @@ if __name__ == "__main__":
                              "results/simulator_throughput.json and "
                              "BENCH_throughput.json (provenance-stamped)")
     parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--note", help="--json: label this run's "
-                        "full-stack trajectory point")
     parser.add_argument("--nranks", type=int, default=8)
     parser.add_argument("--iterations", type=int, default=1)
     parser.add_argument("--floor", type=int, default=0,
@@ -173,13 +152,6 @@ if __name__ == "__main__":
         data = measure(rounds=args.rounds)
         core = data["core"]["events_per_sec"]
         full = data["full_stack"]["events_per_sec"]
-        bench = pathlib.Path("BENCH_throughput.json")
-        point = dict(provenance(machine=CORI_HASWELL, cfg=ManaConfig.master()),
-                     events=data["full_stack"]["events"], events_per_sec=full)
-        if args.note:
-            point["note"] = args.note
-        data["full_stack"]["trajectory"] = full_stack_trajectory(
-            json.loads(bench.read_text()) if bench.exists() else {}, point)
         text = (f"simulator throughput: core {core / 1e6:.2f}M events/s, "
                 f"full MANA stack {full / 1e3:.0f}k events/s "
                 f"(best of {data['rounds']})")

@@ -38,7 +38,6 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import MpiError
-from repro.simmpi import request
 from repro.simmpi.comm import RealComm
 from repro.simmpi.ops import ReductionOp
 from repro.util.serde import SizedBlocks, payload_nbytes, typed_block_nbytes
@@ -69,17 +68,15 @@ def run_rounds(lib, task, comm: RealComm, base: int, rounds, acc: Any,
     ``finish(acc)``.
 
     The send and the receive are the primitives' halves around their
-    yields (``MpiLibrary._inject``, ``_irecv_raw``, ``_park``), so the
-    rank's generator is this one frame, and the simulation is the one
-    the primitives make: the same ``Advance``/``Park`` yields in the
+    yields (``MpiLibrary._eager_send``, ``_irecv_raw``, ``_park``), so
+    the rank's generator is this one frame, and the simulation is the
+    one the primitives make: the same ``Advance``/``Park`` yields in the
     same order, the library's ``destroyed`` flag tested before each send
     and each receive, and message and request ids drawn in the same
-    order.  The send request nobody reads is never built, but its id is
-    still drawn — through the module attribute, because
-    ``tools/capture_goldens.py`` rewinds that counter between cases."""
+    order.  The send request nobody reads is never built; ``_eager_send``
+    still draws its id."""
     ctx = comm.coll_ctx
-    me = task.world_rank
-    inject = lib._inject
+    eager_send = lib._eager_send
     irecv = lib._irecv_raw
     park = lib._park
     adv_send = lib._adv_send
@@ -91,8 +88,7 @@ def run_rounds(lib, task, comm: RealComm, base: int, rounds, acc: Any,
             if lib.destroyed:
                 lib._check()
             yield adv_send
-            inject(me, ctx, dst, tag, payload)
-            next(request._req_ids)  # the unbuilt send request's id
+            eager_send(task, ctx, dst, tag, payload)
         if src >= 0:
             req = irecv(task, ctx, src, tag)
             if not req.done:

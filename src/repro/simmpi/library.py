@@ -22,7 +22,7 @@ from repro.des.process import Proc
 from repro.des.scheduler import Scheduler
 from repro.des.syscalls import Advance, Park
 from repro.hosts.machine import MachineSpec
-from repro.simmpi import collectives as coll
+from repro.simmpi import collectives as coll, request
 from repro.simmpi.comm import RealComm
 from repro.simmpi.constants import (
     ANY_SOURCE,
@@ -163,9 +163,8 @@ class MpiLibrary:
         if self.destroyed:
             self._check()
         yield self._adv_send
-        src = task.world_rank
-        nbytes = self._inject(src, ctx, dst_world, tag, payload)
-        req = RealRequest(_SEND, ctx, src, tag)
+        nbytes, req_id = self._eager_send(task, ctx, dst_world, tag, payload)
+        req = RealRequest(_SEND, ctx, task.world_rank, tag, req_id)
         req.nbytes = nbytes
         # equivalent to req.complete(payload=None, status=None): no
         # status, no callback registered yet, payload already None
@@ -174,12 +173,17 @@ class MpiLibrary:
 
     # the send and receive halves around the yields, shared by the
     # primitives here and the collectives' round executor
-    def _inject(self, src: int, ctx: int, dst_world: int, tag: int, payload: Any) -> int:
+    def _eager_send(self, task: RankTask, ctx: int, dst_world: int, tag: int,
+                    payload: Any) -> Tuple[int, int]:
         """An eager send once its overhead is paid: the message enters
-        the fabric; returns its size."""
+        the fabric, then the send's request id is drawn, whether or not
+        the caller builds the request.  Returns ``(nbytes, req_id)``.
+        The id comes through the module attribute: ``tools/
+        capture_goldens.py`` rebinds the counter between cases."""
         nbytes = payload_nbytes(payload)
-        self.network.inject(Message(src, dst_world, ctx, tag, payload, nbytes))
-        return nbytes
+        self.network.inject(
+            Message(task.world_rank, dst_world, ctx, tag, payload, nbytes))
+        return nbytes, next(request._req_ids)
 
     def _irecv_raw(self, task: RankTask, ctx: int, src_world, tag) -> RealRequest:
         if self.destroyed:

@@ -48,8 +48,10 @@ class RealRequest:
         comm_ctx: int = -1,
         source: Any = None,
         tag: Any = None,
+        req_id: Optional[int] = None,
     ):
-        self.req_id = next(_req_ids)
+        #: ``req_id`` is one the caller already drew from ``_req_ids``
+        self.req_id = next(_req_ids) if req_id is None else req_id
         self.kind = kind
         self.done = False
         #: True once Test/Wait has returned this request to the caller
