@@ -29,17 +29,19 @@ def replay_compare(nranks=128, steps=24, frac=0.5, machine=CORI_HASWELL,
     """Compiled vs interpreted REEXEC restart on the same saved image.
 
     Halts a run mid-flight, saves the image, then resumes it
-    ``restart_rounds`` times per mode: with the legacy per-call replay
-    interpreter (``replay_compile="off"``) and through the IR compiler
-    with the optimizing pass pipeline (``"opt"``).  The opt rounds share
-    one compiled program per rank (``compile_image``) — the replay
-    program is a property of the saved image, so the Figure 3 regime of
-    repeated restarts compiles once and replays many times, exactly as
-    the pass pipeline is designed to be used.  Asserts every resume
+    ``restart_rounds`` times per mode: with the raw per-call log walk
+    (``replay_compile="off"``) and through the IR compiler with the
+    optimizing pass pipeline (``"opt"``).  The opt rounds share one
+    compiled program per rank (``compile_image``) — the replay program
+    is a property of the saved image, so the Figure 3 regime of repeated
+    restarts compiles once and replays many times.  Asserts every resume
     produces identical results and final virtual times, and reports the
-    replay-phase wall-clock speedup (resume start to the last rank's
-    replay-to-live transition, best of rounds, amortized compile
-    included) plus the scheduler events the compiled replay eliminated.
+    replay-phase wall-clock ratio off/opt (resume start to the last
+    rank's replay-to-live transition, best of rounds; the one-off
+    ``compile_s`` is reported apart) and the scheduler events each mode
+    made.  Neither
+    interpreter yields to the scheduler for a replayed call, so both
+    make the same events (``events_saved`` is 0).
 
     The workload is a token ring with long logs (``steps * 8`` laps)
     rather than the MD proxy: REEXEC cannot yet resume a checkpoint
@@ -177,8 +179,9 @@ def render(data) -> str:
         lines.append(
             f"\nREEXEC replay compilation ({rr['machine']}, "
             f"{rr['nranks']} ranks, halt at {rr['halt_frac']:.0%}): "
-            f"{rr['replay_speedup']:.2f}x restart wall-clock speedup, "
-            f"{rr['events_saved']} scheduler events eliminated over "
+            f"replay-phase wall-clock off/opt {rr['replay_speedup']:.2f}x, "
+            f"{rr['modes']['opt']['events']} scheduler events in both "
+            f"({rr['events_saved']} saved) over "
             f"{rr['modes']['off']['replayed_calls']} replayed calls"
         )
     return "\n".join(lines)
@@ -237,8 +240,8 @@ def main(argv=None) -> int:
             point = replay_compare(nranks=args.nranks or 64, steps=12)
             dt = time.perf_counter() - t0
             print(f"smoke OK: {point['nranks']} ranks — compiled replay "
-                  f"{point['replay_speedup']:.2f}x wall-clock vs legacy, "
-                  f"{point['events_saved']} events eliminated, virtual "
+                  f"{point['replay_speedup']:.2f}x wall-clock vs the raw "
+                  f"walk, {point['events_saved']} events saved, virtual "
                   f"times identical ({dt:.1f}s wall)")
             return 0
         point = smoke(args.nranks or 512)
@@ -281,7 +284,9 @@ def test_fig3_checkpoint_restart(once):
     # replay_compare's internal asserts already pinned result/elapsed
     # equality; here just require the comparison actually measured work
     assert rr["modes"]["off"]["replayed_calls"] > 0
-    assert rr["events_saved"] > 0
+    # no interpreter yields per replayed call: every mode makes the
+    # same scheduler events
+    assert rr["events_saved"] == 0
     assert rr["replay_speedup"] > 0
 
 

@@ -64,6 +64,11 @@ class RestartError(ManaError):
     """Restart could not reconstruct a consistent computation."""
 
 
+class ReplayExhausted(ManaError):
+    """Every recorded call has been served: time for the REEXEC
+    replay-to-live transition."""
+
+
 class RecoveryError(RestartError):
     """Automatic rollback-restart after a detected failure could not
     proceed (no durable checkpoint image, or the session was not run

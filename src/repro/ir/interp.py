@@ -2,44 +2,40 @@
 
 The REEXEC wrappers drive one cursor per rank instead of walking the
 raw log: each wrapper call asks :meth:`ReplayCursor.step` for its
-recorded value.  The step returns ``(value, needs_materialize, dt)``:
+recorded value.  The step returns ``(value, needs_materialize, dt)``
+and raises :class:`~repro.errors.ReplayExhausted` once every recorded
+call is served:
 
 * ``value`` — the recorded result (or a batch member's);
 * ``needs_materialize`` — the wrapper must run the op's side-effecting
   materializer on it (request slots, memory, communicator metadata);
-* ``dt`` — virtual seconds to ``Advance`` after serving, or ``None``
-  for no scheduler interaction at all (the folded fast path).
+* ``dt`` — virtual seconds to ``Advance`` after serving; ``0.0`` or
+  ``None`` means none, and the wrapper returns the value with no
+  scheduler interaction (a replayed call costs no virtual time).
 
 Control ops (compute/advance) never serve a call; their costs
 accumulate into the next serving step's ``dt``.  Divergence checking
 is preserved exactly: a wrapper call that does not match the next
 serving opname raises :class:`~repro.errors.RestartError` with the
-same message the legacy log walk produced.
+same message the raw log walk produces.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-from repro.errors import ManaError, RestartError
+from repro.errors import ManaError, ReplayExhausted, RestartError
 from repro.ir.ops import IrProgram
 
 
 class ReplayCursor:
-    """Per-rank interpreter state over an :class:`IrProgram`.
+    """Per-rank interpreter state over an :class:`IrProgram`."""
 
-    ``yield_on_compute`` tells the wrapper layer whether replayed
-    ``compute()`` calls should still perform their cooperative
-    ``Advance(0.0)`` — True for the bit-identical (no-op pipeline)
-    configuration, False once costs are folded.
-    """
+    __slots__ = ("program", "served", "_tape", "_total")
 
-    __slots__ = ("program", "yield_on_compute", "served", "_tape", "_total")
-
-    def __init__(self, program: IrProgram, yield_on_compute: bool = True):
+    def __init__(self, program: IrProgram):
         self.program = program
-        self.yield_on_compute = yield_on_compute
-        #: serving calls answered so far (== the legacy log cursor)
+        #: serving calls answered so far (== the raw log's cursor)
         self.served = 0
         self._total = program.num_calls
         tape = program._tape
@@ -95,14 +91,14 @@ class ReplayCursor:
     # ------------------------------------------------------------------
     def exhausted(self) -> bool:
         """All recorded calls served: time for the replay-to-live
-        transition (the wrapper checks this before stepping)."""
+        transition."""
         return self.served >= self._total
 
     def step(self, name: str) -> Tuple[Any, bool, Optional[float]]:
         """Serve one wrapper call named ``name``."""
         served = self.served
         if served >= self._total:
-            raise ManaError("replay log exhausted (transition missed)")
+            raise ReplayExhausted("replay log exhausted")
         opname, value, needs_mat, dt = self._tape[served]
         if opname != name:
             self._diverge(name, opname)

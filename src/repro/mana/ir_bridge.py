@@ -104,15 +104,6 @@ def live_cost_fn(binding) -> Callable[[str], float]:
     return cost
 
 
-def cursor_from_program(program: IrProgram, mode: str) -> ReplayCursor:
-    """A fresh cursor over an already-compiled program.
-
-    Restart rounds of one saved image share the compiled program (and
-    its memoized tape) — only the cursor position is per-resume state.
-    """
-    return ReplayCursor(program, yield_on_compute=(mode == "noop"))
-
-
 def compile_image(path, cfg, machine) -> Dict[int, IrProgram]:
     """Compile every rank's replay log of a saved image, once.
 
@@ -143,9 +134,9 @@ def compile_replay(mrank: ManaRank, log: ReplayLog) -> ReplayCursor:
     """Lower + (optionally) optimize one rank's staged replay log.
 
     ``cfg.replay_compile`` selects the pipeline: ``"noop"`` runs no
-    passes and keeps every cooperative yield (bit-identical to the
-    legacy per-call walk); ``"opt"`` runs the default optimizing
-    pipeline and emits one ``restart``-stage trace event per pass.
+    passes (bit-identical to the raw log walk); ``"opt"`` runs the
+    default optimizing pipeline and emits one ``restart``-stage trace
+    event per pass.
     """
     rt = mrank.rt
     mode = rt.cfg.replay_compile
@@ -153,7 +144,7 @@ def compile_replay(mrank: ManaRank, log: ReplayLog) -> ReplayCursor:
                             classify=classification())
     if mode == "noop":
         program, _stats = noop_pipeline().run(program)
-        return ReplayCursor(program, yield_on_compute=True)
+        return ReplayCursor(program)
     tracer = rt.sched.tracer
 
     def observe(pass_name: str, stats: Dict) -> None:
@@ -171,7 +162,7 @@ def compile_replay(mrank: ManaRank, log: ReplayLog) -> ReplayCursor:
         tracer.emit("restart", "ir_compiled", rank=mrank.rank,
                     source_calls=program.source_calls,
                     ops=len(program.ops))
-    return ReplayCursor(program, yield_on_compute=False)
+    return ReplayCursor(program)
 
 
 # ----------------------------------------------------------------------

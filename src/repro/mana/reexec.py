@@ -15,12 +15,12 @@ import time as _time
 from typing import Any, Optional
 
 from repro.des.syscalls import Advance
-from repro.errors import RestartError
+from repro.errors import ReplayExhausted, RestartError
 from repro.mana.buffers import BufferedMessage
 from repro.mana.checkpoint import bb_read_time
 from repro.mana.config import CollectiveMode, CommReconstruction
 from repro.mana.portable import restore_portable
-from repro.mana.replay import RECORDED_OPS, ReplayLog
+from repro.mana.replay import RECORDED_OPS, ReplayLog, _materialize_id
 from repro.mana.requests import NullMark, VReqKind
 from repro.mana.runtime import ManaRank
 from repro.mana.wrappers import ManaApi
@@ -37,14 +37,11 @@ class RecordingApi(ManaApi):
     def compute(self, seconds: Optional[float] = None,
                 flops: Optional[float] = None):
         if self.replay_log.replaying:
-            # pre-checkpoint compute already happened; re-execution is
-            # free — the compiled-opt cursor also skips the cooperative
-            # zero-advance (nothing downstream can observe it)
-            cursor = self.replay_cursor
-            if cursor is None or cursor.yield_on_compute:
-                yield Advance(0.0)
-            return
-        yield from ManaApi.compute(self, seconds=seconds, flops=flops)
+            # pre-checkpoint compute already happened: re-execution is
+            # free, and the caller's ``yield from`` over an empty tuple
+            # makes no scheduler interaction
+            return ()
+        return ManaApi.compute(self, seconds=seconds, flops=flops)
 
 
 def build_recording_api(mrank: ManaRank, log: ReplayLog) -> ManaApi:
@@ -65,11 +62,13 @@ def build_recording_api(mrank: ManaRank, log: ReplayLog) -> ManaApi:
     api = RecordingApi(mrank)
     api.replay_log = log
     if log.replaying and mrank.rt.cfg.replay_compile != "off":
-        from repro.mana.ir_bridge import compile_replay, cursor_from_program
+        from repro.ir import ReplayCursor
+        from repro.mana.ir_bridge import compile_replay
 
         # a precompiled program for this rank (compile_image: one
         # compilation per saved image, shared across restart rounds)
-        # skips the per-restart lowering and pass pipeline entirely
+        # skips the per-restart lowering and pass pipeline entirely;
+        # only the cursor position is per-resume state
         precompiled = getattr(mrank.rt, "_ir_compiled", None)
         program = None if precompiled is None else precompiled.get(mrank.rank)
         if program is not None:
@@ -80,47 +79,43 @@ def build_recording_api(mrank: ManaRank, log: ReplayLog) -> ManaApi:
                     f"{len(log.entries)} — compiled against a different "
                     "image?"
                 )
-            api.replay_cursor = cursor_from_program(
-                program, mrank.rt.cfg.replay_compile)
+            api.replay_cursor = ReplayCursor(program)
         else:
             api.replay_cursor = compile_replay(mrank, log)
     return api
 
 
-#: shared zero advance for the compiled replay's cooperative yields
-#: (Advance is immutable, so one object serves every zero-cost step)
-_ADV0 = Advance(0.0)
-
-
 def _recording(name: str, extract, materialize):
     base = getattr(ManaApi, name)
+    if materialize is _materialize_id:
+        materialize = None  # the recorded value is the result
 
     @functools.wraps(base)
     def method(self, *args, **kwargs):
         log = self.replay_log
         if log.replaying:
+            # a replayed call costs no virtual time: serve its recorded
+            # value with no scheduler interaction, so a rank replays its
+            # whole log inside one scheduler step
             cursor = self.replay_cursor
-            if cursor is not None:
-                # compiled replay: the IR interpreter serves the call
-                if cursor.exhausted():
-                    yield from reexec_transition(self)
-                    # fall through: this is the call that was in
-                    # progress at checkpoint time; it now runs live
+            try:
+                if cursor is None:
+                    value = log.next(name)
+                    needs_mat, dt = materialize is not None, None
                 else:
+                    # compiled replay: the IR interpreter serves the call
                     value, needs_mat, dt = cursor.step(name)
-                    result = (materialize(self, value, args, kwargs)
-                              if needs_mat else value)
-                    if dt is not None:
-                        yield _ADV0 if dt == 0.0 else Advance(dt)
-                    return result
-            elif log.exhausted():
-                yield from reexec_transition(self)
-                # fall through, as above
+            except ReplayExhausted:
+                pass
             else:
-                value = log.next(name)
-                result = materialize(self, value, args, kwargs)
-                yield Advance(0.0)
-                return result
+                if needs_mat:
+                    value = materialize(self, value, args, kwargs)
+                if dt:
+                    yield Advance(dt)
+                return value
+            yield from reexec_transition(self)
+            # fall through: this is the call that was in progress at
+            # checkpoint time; it now runs live
         self._call_seq += 1
         result = yield from base(self, *args, **kwargs)
         log.record(name, extract(self, result, args, kwargs))
@@ -244,7 +239,7 @@ def reexec_transition(api: ManaApi):
                     persistent_recreated=persistent,
                     icolls_replayed=replayed)
 
-    cursor = getattr(api, "replay_cursor", None)
+    cursor = api.replay_cursor
     record_reexec_restart(mrank, {
         "rank": mrank.rank,
         "replay_compile": rt.cfg.replay_compile,

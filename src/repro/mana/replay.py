@@ -37,7 +37,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ManaError, RestartError
+from repro.errors import ManaError, ReplayExhausted, RestartError
 from repro.mana.handles import RequestSlot
 from repro.simmpi.constants import REQUEST_NULL, Status
 
@@ -62,16 +62,21 @@ class ReplayLog:
         return self.cursor >= len(self.entries)
 
     def next(self, op: str) -> Any:
-        if self.exhausted():
-            raise ManaError("replay log exhausted (transition missed)")
-        logged_op, value = self.entries[self.cursor]
+        """The recorded result of the next call, which must be ``op``;
+        raises :class:`~repro.errors.ReplayExhausted` once the log is
+        used up."""
+        cursor = self.cursor
+        try:
+            logged_op, value = self.entries[cursor]
+        except IndexError:
+            raise ReplayExhausted("replay log exhausted") from None
         if logged_op != op:
             raise RestartError(
-                f"replay divergence at call {self.cursor}: application "
+                f"replay divergence at call {cursor}: application "
                 f"called {op!r} but the log has {logged_op!r} — the program "
                 "is not deterministic"
             )
-        self.cursor += 1
+        self.cursor = cursor + 1
         return value
 
     @property

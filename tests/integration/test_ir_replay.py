@@ -1,10 +1,11 @@
 """Integration: the IR replay compiler driving REEXEC restarts.
 
-The contract under test (ISSUE non-negotiable): with the no-op pass
-pipeline the compiled replay is indistinguishable from the legacy
-per-call log walk — same virtual times, same results; with the
-optimizing pipeline the final virtual times and results still match
-while scheduler events drop.  Bit-level stream identity is pinned by
+The contract under test: with the no-op pass pipeline the compiled
+replay is indistinguishable from the raw log walk — same virtual times,
+same results; with the optimizing pipeline the final virtual times,
+results and scheduler events still match.  No interpreter yields to the
+scheduler for a replayed call, so a rank replays its whole log inside
+the scheduler step that starts it.  Bit-level stream identity is pinned by
 ``tests/property/test_fastpath_golden.py``; here we cover the runtime
 wiring: per-resume compilation, image-level compilation shared across
 restart rounds, divergence detection, and recovery interplay.
@@ -71,11 +72,42 @@ class TestCompiledReplay:
         out = sess.run()
         assert out.results == legacy.results == baseline.results
         assert out.elapsed == legacy.elapsed
-        if mode == "opt":
-            # the optimizing pipeline eliminates dead cooperative yields
-            assert sess.sched.events_run < legacy_sess.sched.events_run
-        else:
-            assert sess.sched.events_run == legacy_sess.sched.events_run
+        # no interpreter makes a scheduler round trip per replayed call,
+        # so the optimizing pipeline has no events left to eliminate
+        assert sess.sched.events_run == legacy_sess.sched.events_run
+
+    @pytest.mark.parametrize("mode", ["off", "noop", "opt"])
+    def test_replay_makes_no_scheduler_round_trip(self, tmp_path,
+                                                  monkeypatch, mode):
+        """Each rank reaches its replay-to-live transition inside the
+        very scheduler event that first steps it: replayed calls and
+        replayed ``compute()`` never yield."""
+        import repro.mana.reexec as reexec
+
+        nranks, factory, frac = APPS["ring"]
+        _, path = save_halted(tmp_path, nranks, factory, frac)
+        sess = resume_from_checkpoint(path, factory, TESTBOX, CFG,
+                                      replay_compile=mode)
+        sched = sess.sched
+        # the scheduler publishes its running event count only to
+        # watches: arm one on each event of the replay phase
+        current = [0]
+        for n in range(1, 64):
+            sched.add_event_watch(n, lambda n=n: current.__setitem__(0, n))
+        reached = {}
+        transition = reexec.reexec_transition
+
+        def hooked(api):
+            reached[api.mrank.rank] = current[0]
+            return transition(api)
+
+        monkeypatch.setattr(reexec, "reexec_transition", hooked)
+        out = sess.run()
+        assert out.results == [TokenRing.expected(r, nranks, 8)
+                               for r in range(nranks)]
+        names = [p.name for p in sched.procs]
+        assert reached == {r: names.index(f"rank{r}") + 1
+                           for r in range(nranks)}
 
     def test_restart_records_carry_mode(self, tmp_path):
         nranks, factory, frac = APPS["ring"]
@@ -151,6 +183,25 @@ class TestDivergenceAndRecovery:
                                       replay_compile="opt")
         with pytest.raises(RestartError, match="replay divergence"):
             sess.run()
+
+    def test_divergence_text_is_the_same_on_every_interpreter(
+            self, tmp_path):
+        """The trimmed raw walk and both cursors report a wrong opname
+        with one and the same message."""
+        nranks, factory, frac = APPS["ring"]
+        _, path = save_halted(tmp_path, nranks, factory, frac)
+        wrong = lambda r: AllreduceLoop(r, iters=8, compute_s=1e-3)
+        texts = set()
+        for mode in ("off", "noop", "opt"):
+            sess = resume_from_checkpoint(path, wrong, TESTBOX, CFG,
+                                          replay_compile=mode)
+            with pytest.raises(RestartError) as err:
+                sess.run()
+            texts.add(str(err.value))
+        assert texts == {
+            "replay divergence at call 0: application called 'allreduce' "
+            "but the log has 'send' — the program is not deterministic"
+        }
 
     def test_second_checkpoint_after_compiled_resume(self, tmp_path):
         """The compiled-resumed session keeps recording and survives a

@@ -286,7 +286,7 @@ def test_cursor_divergence_message_matches_legacy():
 
 def test_optimized_cursor_folds_yields():
     prog = default_pipeline().run(lowered())[0]
-    cursor = ReplayCursor(prog, yield_on_compute=False)
+    cursor = ReplayCursor(prog)
     dts = []
     for opname, value in LOG:
         got, _needs, dt = cursor.step(opname)

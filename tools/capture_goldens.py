@@ -19,7 +19,8 @@ with::
     PYTHONPATH=src python tools/capture_goldens.py > /tmp/goldens.json
 
 or, to see per case which keys differ from the values embedded in the
-property test (exit status 1 when any does)::
+property test, each tagged with its class from ``KEY_CLASSES`` (exit
+status 1 when any key differs)::
 
     PYTHONPATH=src python tools/capture_goldens.py --diff
 """
@@ -119,10 +120,10 @@ def reexec_fingerprint(nranks, factory, machine, cfg, ckpt_frac,
     (deterministic re-execution), and fingerprint the *resumed* session.
 
     ``replay_compile`` selects the replay interpreter: ``"off"`` is the
-    legacy per-call log walk, ``"noop"`` the IR interpreter with no
-    passes (contractually bit-identical to ``"off"``), ``"opt"`` the
-    optimizing pass pipeline (identical virtual times and results;
-    fewer scheduler events, different trace stream)."""
+    raw log walk, ``"noop"`` the IR interpreter with no passes
+    (contractually bit-identical to ``"off"``), ``"opt"`` the optimizing
+    pass pipeline (identical virtual times, results and scheduler
+    events; a different trace stream)."""
     _reset_id_counters()
     cfg = cfg.but(record_replay=True)
     probe = ManaSession(nranks, factory, machine, cfg).run()
@@ -157,7 +158,7 @@ def reexec_fingerprint(nranks, factory, machine, cfg, ckpt_frac,
 #: property test: the test pins the ``"off"`` fingerprints below as
 #: goldens, re-runs each case with ``replay_compile="noop"`` and
 #: asserts bit-identity, and with ``"opt"`` asserting matching virtual
-#: times/traffic/results with no more scheduler events
+#: times/traffic/results/scheduler events
 REEXEC_CASES = {
     "reexec_ring_2pc": (
         4, lambda r: TokenRing(r, laps=8, compute_s=1e-3),
@@ -289,10 +290,24 @@ def pinned() -> dict:
     return out
 
 
+#: what each pinned key measures.  A *model* key is what the simulated
+#: job computes or spends (virtual time, traffic, results): it moves
+#: only with an intentional model change.  A *bookkeeping* key is how
+#: the simulator got there (scheduler events, the trace stream): a pure
+#: host-cost change may move it.  A fault scenario's summary holds
+#: virtual times and results only, so its keys are model keys.
+KEY_CLASSES = {
+    "elapsed": "model", "messages": "model", "bytes": "model",
+    "results_sha": "model", "finished_sha": "model",
+    "ok": "model", "summary_sha": "model",
+    "events": "bookkeeping", "trace_sha": "bookkeeping",
+}
+
+
 def diff() -> int:
     """Print, per case, the keys whose captured value differs from the
-    pinned one (``key: pinned -> captured``); returns how many cases
-    moved."""
+    pinned one (``key [class]: pinned -> captured``); returns how many
+    cases moved."""
     old, new = pinned(), capture()
     names = sorted(set(old) | set(new))
     moved = 0
@@ -302,7 +317,8 @@ def diff() -> int:
                 if was.get(k) != now.get(k)]
         moved += bool(keys)
         print(f"{name}: " + ("; ".join(
-            f"{k}: {was.get(k)} -> {now.get(k)}" for k in keys)
+            f"{k} [{KEY_CLASSES.get(k, 'unclassified')}]: "
+            f"{was.get(k)} -> {now.get(k)}" for k in keys)
             or "identical"))
     print(f"{moved} of {len(names)} cases differ")
     return moved
