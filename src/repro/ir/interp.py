@@ -53,10 +53,9 @@ class ReplayCursor:
         serving call: ``(opname, value, needs_materialize, dt)``.
 
         Runs of control ops fold their costs into the next serving
-        step's advance; batch ops expand into members with at most one
-        scheduler interaction (on the first member, if the batch still
-        yields).  The interpreter loop then degenerates to an indexed
-        tuple lookup — the whole point of compiling the log.
+        step's advance; batch ops expand into members, a batch's
+        advance riding on the first.  The interpreter loop then
+        degenerates to an indexed tuple lookup.
         """
         tape = []
         pre: Optional[float] = None

@@ -166,9 +166,9 @@ class CollectiveBatchOp(IrOp):
     """A fused run of consecutive same-communicator collectives.
 
     Serves its members one wrapper call at a time (``opnames[i]`` /
-    ``results[i]``), but the interpreter yields to the scheduler only
-    once per batch — the members were consecutive in the source log, so
-    nothing could have interleaved between them during replay anyway.
+    ``results[i]``); a batch cost, if any, is charged once, on the first
+    member — the members were consecutive in the source log, so nothing
+    could have interleaved between them during replay anyway.
     """
 
     __slots__ = ("opnames", "results")

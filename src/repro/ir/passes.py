@@ -11,9 +11,9 @@ Standard pipeline (``default_pipeline``):
 
 1. :class:`FoldCosts` — constant-folded costing: annotate every serving
    op with the live-pipeline cost it skips (from the costing layer's
-   memo, supplied by the bridge) and drop the per-op cooperative yield
-   (replay ops are zero-time; batching the scheduler interaction is the
-   main interpreter speedup).
+   memo, supplied by the bridge) and clear the per-op ``yield_after``
+   (replay ops are zero-time, so no interpreter yields for them either
+   way; the flag matters only to an op that carries a cost).
 2. :class:`BatchCollectives` — fuse runs of consecutive identity-
    materialized collectives on the same communicator into one
    :class:`~repro.ir.ops.CollectiveBatchOp`.
@@ -111,10 +111,9 @@ class FoldCosts(IrPass):
     0.0; what this pass folds in is (a) the live-pipeline cost each op
     would have paid, resolved once per opname from the costing layer's
     memo table (the bridge supplies ``live_cost_fn``), and (b) the
-    knowledge that a zero-cost op needs no cooperative yield — the
-    per-op ``Advance(0.0)`` is dropped, which is where the interpreter's
-    speedup comes from.  Final virtual times are unchanged: only events
-    that advanced time by exactly 0.0 disappear.
+    knowledge that a zero-cost op needs no yield (``yield_after`` is
+    cleared).  A zero-cost step never reaches the scheduler in any
+    interpreter, so virtual times and event counts are unchanged.
     """
 
     name = "fold_costs"
