@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps.base import MpiProgram
-from repro.hosts import TESTBOX
+from repro.hosts import TESTBOX, TESTBOX_MN
 from repro.mana import ManaConfig, ManaSession
 from repro.mana.config import CollectiveMode
 from repro.mana.session import CheckpointPlan, run_app_native
@@ -71,6 +71,26 @@ def test_alt_collectives_with_restart_mid_program(frac):
         checkpoints=[CheckpointPlan(at=base.elapsed * frac, action="restart")]
     )
     assert out.results == base.results
+
+
+def test_alt_collectives_checkpointed_mid_program_are_pinned():
+    """Every collective of the alternative layer — scatter, scan,
+    reduce_scatter and the non-commutative allreduce included — on two
+    nodes with a checkpoint at 0.4 of the run: virtual time and traffic
+    are pinned to the values they had while this layer kept its own
+    copy of each algorithm."""
+    p = 6
+    factory = lambda r: OneOfEach(r)
+    base = ManaSession(p, factory, TESTBOX_MN, ALT).run()
+    session = ManaSession(p, factory, TESTBOX_MN, ALT)
+    out = session.run(
+        checkpoints=[CheckpointPlan(at=base.elapsed * 0.4, action="resume")]
+    )
+    assert out.results == base.results
+    assert out.results == run_app_native(p, factory, TESTBOX_MN).results
+    assert repr(out.elapsed) == "0.0016564338749999988"
+    assert session.network.stats.messages == 147
+    assert session.network.stats.bytes == 4008
 
 
 def test_alt_mode_never_enters_lower_half_collectives():

@@ -29,7 +29,12 @@ drain's counter exchange is; again no ``results_sha`` moved
 intentional change re-pinned the four ``reexec_*`` entries' ``events``
 only, when a replayed call stopped yielding to the scheduler (a
 bookkeeping key: no model key moved, see
-``results/goldens_diff_replay_no_yield.txt``).  The capture tool
+``results/goldens_diff_replay_no_yield.txt``).  The two ``alt_*``
+entries run every data collective above the lower half
+(``CollectiveMode.PT2PT_ALWAYS``, Section III-E) with a checkpoint at
+mid-run; they were captured while that layer still kept its own copy
+of each algorithm, and pin that running the lower half's round plans
+there instead changes nothing.  The capture tool
 rewinds every process-global id counter (msg ids, request ids, window
 and memory handles) at the start of each case, so each fingerprint is
 order-independent — pytest may interleave cases freely and still match
@@ -133,6 +138,22 @@ GOLDENS = {
         "messages": 48,
         "results_sha": "e243f514f4b24aeb6630ddca24682072bf574ba99340144335590d80ab7db1d3",
         "trace_sha": "5d1c64af8e8260081c1237dedb6cbd36ea8d3744128d3097cd6e8cf215ef3e2d",
+    },
+    "alt_dft_haswell_2pc": {
+        "bytes": 390404,
+        "elapsed": "1.370440102583031",
+        "events": 7096,
+        "messages": 939,
+        "results_sha": "623f3b1093b957d1b3c172d651a225e52f3b399d93aaddbff31622fe445787a4",
+        "trace_sha": "05b365f29239a00c863f39475f27060710b484890b9d991281d6a6c2aeae3b39",
+    },
+    "alt_md_testbox_2pc": {
+        "bytes": 4749568,
+        "elapsed": "0.09835199345953273",
+        "events": 2303,
+        "messages": 288,
+        "results_sha": "6e9400d9595c888e72ce5a0e9f72801f86ee6d5ba1566178fdfa8fadce5a7cff",
+        "trace_sha": "6259f4c5c5c5ef70a2c63687706890c33cadf625461419e1bd41fb8319fd99c8",
     },
     "fault_kill_after_ckpt": {
         "ok": True,

@@ -44,6 +44,7 @@ from repro.apps.workloads import workload
 from repro.faults.scenarios import run_scenario
 from repro.hosts import CORI_HASWELL, CORI_KNL, TESTBOX, TESTBOX_MN
 from repro.mana import ManaConfig, ManaSession
+from repro.mana.config import CollectiveMode
 from repro.mana.session import CheckpointPlan, resume_from_checkpoint
 from repro.simmpi import UNDEFINED
 from repro.simmpi.runner import run_native
@@ -180,6 +181,10 @@ def matrix():
     dft8 = DftConfig(nranks=8, workload=workload("CaPOH"), iterations=1)
     dft16 = DftConfig(nranks=16, workload=workload("CaPOH"), iterations=1)
     md8 = MdConfig(nranks=8, steps=6, reduce_every=2, rebuild_every=4)
+    # every data collective above the lower half (Section III-E), with
+    # the checkpoint free to land inside one
+    alt = ManaConfig.feature_2pc().but(
+        collective_mode=CollectiveMode.PT2PT_ALWAYS)
     return [
         ("dft_testbox_master", lambda: session_fingerprint(
             8, lambda r: DftProxy(r, dft8, TESTBOX),
@@ -205,6 +210,12 @@ def matrix():
         ("ckpt_randpt2pt_ft", lambda: session_fingerprint(
             4, lambda r: RandomPt2Pt(r, 4, rounds=8, seed=11),
             TESTBOX_MN, ManaConfig.fault_tolerant(), ckpt_frac=0.5)),
+        ("alt_dft_haswell_2pc", lambda: session_fingerprint(
+            16, lambda r: DftProxy(r, dft16, CORI_HASWELL),
+            CORI_HASWELL, alt, ckpt_frac=0.5)),
+        ("alt_md_testbox_2pc", lambda: session_fingerprint(
+            8, lambda r: MdProxy(r, md8, TESTBOX),
+            TESTBOX, alt, ckpt_frac=0.5)),
         ("fault_kill_after_ckpt", lambda: scenario_fingerprint(
             "kill-after-ckpt", 3, 4)),
         ("fault_drop_commit", lambda: scenario_fingerprint(
