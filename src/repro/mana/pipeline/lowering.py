@@ -22,6 +22,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.des.syscalls import Advance, Park
 from repro.errors import ManaError, MpiError, UnsupportedMpiFeature
+from repro.mana import collective_impl as upper
 from repro.mana.api import validate_tag
 from repro.mana.config import CollectiveMode
 from repro.mana.handles import RequestSlot
@@ -572,7 +573,8 @@ class SemanticLowering:
             seq = meta.mana_coll_seq
             meta.mana_coll_seq += 1
             yield self.cost.wrapper_advance(0, lc)
-            result = yield from desc.alt(self.api, vid, me, p, seq, args)
+            result = yield from desc.alt(upper.run_rounds,
+                                         (self.api, vid, p, seq), me, p, args)
             return result
 
         gid = meta.gid

@@ -17,19 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.mana import collective_impl as alt
 from repro.mana.comms import CreationRecord
+from repro.simmpi import collectives as coll
 
 
 @dataclass(frozen=True)
 class CollectiveDesc:
     """One blocking collective: its lower-half call and its Section
-    III-E point-to-point alternative implementation."""
+    III-E point-to-point alternative, the same algorithm run by the
+    upper half's executor."""
 
     name: str
     #: (lib, task, real_comm, args) -> generator
     lib: Callable[..., Any]
-    #: (api, comm_vid, me, nranks, seq, args) -> generator
+    #: (run, at, me, nranks, args) -> generator: the algorithm of
+    #: repro.simmpi.collectives, handed the executor ``run`` and its state
     alt: Optional[Callable[..., Any]] = None
 
 
@@ -85,74 +87,63 @@ COLLECTIVE_DESCS: Dict[str, CollectiveDesc] = {
         CollectiveDesc(
             "barrier",
             lib=lambda lib, task, real, a: lib.barrier(task, real),
-            alt=lambda api, vid, me, p, seq, a: alt.barrier(api, vid, me, p, seq),
+            alt=lambda run, at, me, p, a: coll.barrier(run, at, me),
         ),
         CollectiveDesc(
             "bcast",
             lib=lambda lib, task, real, a: lib.bcast(task, real, a["data"], a["root"]),
-            alt=lambda api, vid, me, p, seq, a: alt.bcast(
-                api, vid, me, p, a["data"], a["root"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.bcast(
+                run, at, me, a["data"], a["root"]),
         ),
         CollectiveDesc(
             "reduce",
             lib=lambda lib, task, real, a: lib.reduce(
                 task, real, a["data"], a["op"], a["root"]
             ),
-            alt=lambda api, vid, me, p, seq, a: alt.reduce_(
-                api, vid, me, p, a["data"], a["op"], a["root"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.reduce_(
+                run, at, me, a["data"], a["op"], a["root"]),
         ),
         CollectiveDesc(
             "allreduce",
             lib=lambda lib, task, real, a: lib.allreduce(task, real, a["data"], a["op"]),
-            alt=lambda api, vid, me, p, seq, a: alt.allreduce(
-                api, vid, me, p, a["data"], a["op"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.allreduce(
+                run, at, me, a["data"], a["op"]),
         ),
         CollectiveDesc(
             "gather",
             lib=lambda lib, task, real, a: lib.gather(task, real, a["data"], a["root"]),
-            alt=lambda api, vid, me, p, seq, a: alt.gather(
-                api, vid, me, p, a["data"], a["root"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.gather(
+                run, at, me, a["data"], a["root"]),
         ),
         CollectiveDesc(
             "scatter",
             lib=lambda lib, task, real, a: lib.scatter(task, real, a["data"], a["root"]),
-            alt=lambda api, vid, me, p, seq, a: alt.scatter(
-                api, vid, me, p, a["data"], a["root"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.scatter(
+                run, at, me, p, a["data"], a["root"]),
         ),
         CollectiveDesc(
             "allgather",
             lib=lambda lib, task, real, a: lib.allgather(task, real, a["data"]),
-            alt=lambda api, vid, me, p, seq, a: alt.allgather(
-                api, vid, me, p, a["data"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.allgather(run, at, me, a["data"]),
         ),
         CollectiveDesc(
             "alltoall",
             lib=lambda lib, task, real, a: lib.alltoall(task, real, a["data"]),
-            alt=lambda api, vid, me, p, seq, a: alt.alltoall(
-                api, vid, me, p, a["data"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.alltoall(run, at, me, p, a["data"]),
         ),
         CollectiveDesc(
             "scan",
             lib=lambda lib, task, real, a: lib.scan(task, real, a["data"], a["op"]),
-            alt=lambda api, vid, me, p, seq, a: alt.scan(
-                api, vid, me, p, a["data"], a["op"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.scan(
+                run, at, me, a["data"], a["op"]),
         ),
         CollectiveDesc(
             "reduce_scatter_block",
             lib=lambda lib, task, real, a: lib.reduce_scatter_block(
                 task, real, a["data"], a["op"]
             ),
-            alt=lambda api, vid, me, p, seq, a: alt.reduce_scatter_block(
-                api, vid, me, p, a["data"], a["op"], seq
-            ),
+            alt=lambda run, at, me, p, a: coll.reduce_scatter_block(
+                run, at, me, p, a["data"], a["op"]),
         ),
     )
 }

@@ -21,13 +21,19 @@ every size; alltoall — Bruck's store-and-forward while every block is at
 most ``ALLTOALL_SHORT_MSG`` bytes (the drain's counter exchange), the
 pairwise exchange above it (FFT transposes), as MPICH switches.
 
-Each algorithm's structure is a *round schedule*: a plan function gives
-one rank its rounds ``(dst, src, offset, x)`` — peers in world ranks, -1
+Each algorithm is one value that every collective layer runs.  Its
+structure is a *round plan*: a plan function gives one rank its rounds
+``(dst, src, offset, x)`` — peers as ranks of the list it is handed, -1
 for a side the round lacks, the tag offset, and what the algorithm needs
-to know about that round — and :func:`schedule` keeps them on the
-communicator, built once per ``(plan, me, root)``.  One executor,
-:func:`run_rounds`, runs every schedule: the eager send and the blocking
-receive are written there and nowhere else in this module.
+to know about that round.  The algorithm picks the plan, the starting
+value and what a round sends and folds in; an *executor* ``run``, handed
+to it with the state ``at`` it runs in, moves the messages.  Two
+executors exist: :func:`run_rounds` here, the lower half's, which
+addresses world ranks on the communicator's collective context and
+keeps each ``(plan, me, root)`` schedule on the communicator; and
+:func:`repro.mana.collective_impl.run_rounds`, the upper half's
+(Section III-E), which sends MANA-tracked point-to-point messages
+between the communicator's local ranks.
 """
 
 from __future__ import annotations
@@ -53,19 +59,21 @@ ALLTOALL_SHORT_MSG = 256
 
 
 # ----------------------------------------------------------------------
-# the round executor
+# the lower half's round executor
 # ----------------------------------------------------------------------
 
-def run_rounds(lib, task, comm: RealComm, base: int, rounds, acc: Any,
-               out=None, into=None, finish=None):
-    """Run one rank's rounds on the collective context of ``comm``.
+def run_rounds(at, plan, me: int, root: int, acc: Any, out=None, into=None,
+               finish=None, half: bool = False):
+    """Run rank ``me``'s rounds of ``plan`` on the collective context of
+    a communicator; ``at`` is ``(lib, task, comm, seq)``.
 
     A round ``(dst, src, offset, x)`` sends ``out(acc, x)`` — ``acc``
     itself when ``out`` is None — eagerly to ``dst``, then receives from
     ``src`` and folds the payload in as ``acc = into(acc, got, x)`` —
-    replaces ``acc`` when ``into`` is None — both on tag ``base +
-    offset``; a side whose rank is -1 is skipped.  Returns ``acc``, or
-    ``finish(acc)``.
+    replaces ``acc`` when ``into`` is None — both on tag ``seq *
+    TAG_STRIDE + offset``, or ``TAG_STRIDE // 2`` above it for the
+    ``half`` chained on an instance; a side whose rank is -1 is skipped.
+    Returns ``acc``, or ``finish(acc)``.
 
     The send and the receive are the primitives' halves around their
     yields (``MpiLibrary._eager_send``, ``_irecv_raw``, ``_park``), so
@@ -75,6 +83,13 @@ def run_rounds(lib, task, comm: RealComm, base: int, rounds, acc: Any,
     and each receive, and message and request ids drawn in the same
     order.  The send request nobody reads is never built; ``_eager_send``
     still draws its id."""
+    lib, task, comm, seq = at
+    rounds = comm.schedules.get((plan, me, root))
+    if rounds is None:
+        rounds = schedule(comm, plan, me, root)
+    base = seq * TAG_STRIDE
+    if half:
+        base += TAG_STRIDE // 2
     ctx = comm.coll_ctx
     eager_send = lib._eager_send
     irecv = lib._irecv_raw
@@ -99,18 +114,20 @@ def run_rounds(lib, task, comm: RealComm, base: int, rounds, acc: Any,
     return acc if finish is None else finish(acc)
 
 
-def schedule(comm: RealComm, plan, me: int, root: int = 0) -> tuple:
-    """Rank ``me``'s rounds of ``plan`` on ``comm``, built on first use
-    and kept on the communicator, so they die with its incarnation."""
-    key = (plan, me, root)
-    rounds = comm.schedules.get(key)
-    if rounds is None:
-        rounds = comm.schedules[key] = plan(comm.group.world_ranks, me, root)
+def schedule(comm: RealComm, plan, me: int, root: int = 0):
+    """Rank ``me``'s rounds of ``plan`` in world ranks of ``comm``, kept
+    on the communicator so they die with its incarnation — except the
+    pairwise exchange's, which :func:`pairwise` builds per call."""
+    rounds = plan(comm.group.world_ranks, me, root)
+    if plan is not pairwise:
+        comm.schedules[(plan, me, root)] = rounds
     return rounds
 
 
 # ----------------------------------------------------------------------
-# round plans: ``plan(world_ranks, me, root)`` -> rank me's rounds
+# round plans: ``plan(ranks, me, root)`` -> rank me's rounds, its peers
+# taken from ``ranks`` (the lower half passes world ranks, the upper
+# half local ones)
 # ----------------------------------------------------------------------
 
 def dissemination(wr: Sequence[int], me: int, root: int = 0) -> tuple:
@@ -212,7 +229,8 @@ def bruck_alltoall(wr: Sequence[int], me: int, root: int = 0) -> tuple:
 def pairwise(wr: Sequence[int], me: int, root: int = 0):
     """alltoall of long blocks: round ``x = i`` sends to ``me + i`` and
     receives from ``me - i``.  Built per call, never kept: at ``p - 1``
-    rounds a rank, a communicator would hold ``p^2`` of them."""
+    rounds a rank, a communicator would hold ``p^2`` of them; an
+    iterator, so its rounds are made as they run."""
     steps = range(1, len(wr))
     return zip(wr[me + 1:] + wr[:me], wr[:me][::-1] + wr[me + 1:][::-1],
                steps, steps)
@@ -229,95 +247,85 @@ def chain(wr: Sequence[int], me: int, root: int = 0) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# the algorithms: a schedule and what a round sends and folds in
+# the algorithms: a plan and what a round sends and folds in.  Each
+# takes the executor ``run`` and the state ``at`` it runs in, and the
+# caller's rank ``me`` in the communicator; ``p`` where only the
+# communicator's size can check an argument
 # ----------------------------------------------------------------------
 
-def barrier(lib, task, comm: RealComm, me: int, seq: int):
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, dissemination, me), None)
+def barrier(run, at, me: int):
+    return run(at, dissemination, me, 0, None)
 
 
-def bcast(lib, task, comm: RealComm, me: int, data: Any, root: int, seq: int):
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, binomial_down, me, root), data)
+def bcast(run, at, me: int, data: Any, root: int):
+    return run(at, binomial_down, me, root, data)
 
 
-def reduce_(lib, task, comm: RealComm, me: int, data: Any, op: ReductionOp,
-            root: int, seq: int):
+def reduce_(run, at, me: int, data: Any, op: ReductionOp, root: int):
     """Binomial tree for commutative ops, gather + fold at the root
     otherwise; ranks other than the root return None."""
     if not op.commutative:
-        return gather(lib, task, comm, me, data, root, seq, then=op.reduce_seq)
+        return gather(run, at, me, data, root, then=op.reduce_seq)
     fold = op.fn
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, binomial_up, me, root), data,
-                      into=lambda acc, got, _x: fold(acc, got),
-                      finish=None if me == root else lambda _acc: None)
+    return run(at, binomial_up, me, root, data,
+               into=lambda acc, got, _x: fold(acc, got),
+               finish=None if me == root else lambda _acc: None)
 
 
-def allreduce(
-    lib, task, comm: RealComm, me: int, data: Any, op: ReductionOp, seq: int
-):
+def allreduce(run, at, me: int, data: Any, op: ReductionOp):
     """Recursive doubling for commutative ops; reduce + bcast otherwise."""
     if not op.commutative:
-        return _reduce_then_bcast(lib, task, comm, me, data, op, seq)
+        return _reduce_then_bcast(run, at, me, data, op)
     fold = op.fn
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, recursive_doubling, me), data,
-                      into=lambda acc, got, folds: fold(acc, got) if folds else got)
+    return run(at, recursive_doubling, me, 0, data,
+               into=lambda acc, got, folds: fold(acc, got) if folds else got)
 
 
-def _reduce_then_bcast(lib, task, comm, me, data, op, seq):
-    acc = yield from reduce_(lib, task, comm, me, data, op, 0, seq)
-    # the bcast is chained on the same instance at a high round offset
-    return (yield from run_rounds(lib, task, comm,
-                                  seq * TAG_STRIDE + TAG_STRIDE // 2,
-                                  schedule(comm, binomial_down, me, 0), acc))
+def _reduce_then_bcast(run, at, me, data, op):
+    acc = yield from reduce_(run, at, me, data, op, 0)
+    # the bcast is chained on the same instance at half the tag stride
+    return (yield from run(at, binomial_down, me, 0, acc, half=True))
 
 
-def gather(lib, task, comm: RealComm, me: int, data: Any, root: int, seq: int,
-           then=None) -> Any:
+def gather(run, at, me: int, data: Any, root: int, then=None) -> Any:
     """The root gets the contributions in rank order (``then(list)`` if
     given), everyone else None."""
-    p = comm.size
 
     def finish(contrib):
         if me != root:
             return None
-        ranked = [contrib[i] for i in range(p)]
+        ranked = [contrib[i] for i in range(len(contrib))]
         return ranked if then is None else then(ranked)
 
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, binomial_up, me, root), {me: data},
-                      into=_merge, finish=finish)
+    return run(at, binomial_up, me, root, {me: data}, into=_merge,
+               finish=finish)
 
 
-def scatter(lib, task, comm: RealComm, me: int, data: Optional[List[Any]],
-            root: int, seq: int):
-    p = comm.size
+def scatter(run, at, me: int, p: int, data: Optional[List[Any]], root: int):
     vr = (me - root) % p
     chunk = None
     if vr == 0:
         if data is None or len(data) != p:
             raise MpiError(f"scatter root needs a list of {p} items")
         chunk = {v: data[(v + root) % p] for v in range(p)}
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, binomial_down, me, root), chunk,
-                      out=lambda chunk, span: {v: chunk[v] for v in range(*span)},
-                      finish=lambda chunk: chunk[vr])
+    return run(at, binomial_down, me, root, chunk,
+               out=lambda chunk, span: {v: chunk[v] for v in range(*span)},
+               finish=lambda chunk: chunk[vr])
 
 
-def allgather(lib, task, comm: RealComm, me: int, data: Any, seq: int):
+def allgather(run, at, me: int, data: Any):
     """Bruck at every size.  Sizes ride along (SizedBlocks): a block is
     measured once, by its owner, however often forwarded."""
-    p = comm.size
-    # blocks[i] is rank (me + i) % p's: rotated into rank order at the end
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, bruck_allgather, me),
-                      ([data], [payload_nbytes(data)]),
-                      out=lambda acc, n: SizedBlocks(acc[0][:n], acc[1][:n]),
-                      into=_append,
-                      finish=lambda acc: acc[0][p - me:] + acc[0][:p - me])
+
+    def finish(acc):
+        # blocks[i] is rank (me + i) % p's: rotated into rank order
+        blocks = acc[0]
+        k = len(blocks) - me
+        return blocks[k:] + blocks[:k]
+
+    return run(at, bruck_allgather, me, 0, ([data], [payload_nbytes(data)]),
+               out=lambda acc, n: SizedBlocks(acc[0][:n], acc[1][:n]),
+               into=_append, finish=finish)
 
 
 def _merge(acc, got, _x):
@@ -454,7 +462,7 @@ def alltoall_mismatch(
     )
 
 
-def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
+def alltoall(run, at, me: int, p: int, data: Any):
     """``data[j]`` goes to rank ``j``; returns the blocks received, in
     rank order.
 
@@ -467,11 +475,10 @@ def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
     comes back as one; the rows of one call are all of one kind.  Rows
     that straddle the threshold or differ in kind raise
     :class:`MpiError` (see :func:`alltoall_mismatch`)."""
-    # tag offsets stay below p, so one check covers every round of
-    # either algorithm
-    p = comm.size
     if len(data) != p:
         raise MpiError(f"alltoall needs a list of {p} items, got {len(data)}")
+    # tag offsets stay below p, so one check covers every round of
+    # either algorithm in the lower half, whose executor checks none
     if p > TAG_STRIDE:
         raise MpiError(f"collective round {p - 1} exceeds tag stride")
     # held[i]: bound for rank me + i before Bruck's rounds, come from
@@ -479,7 +486,6 @@ def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
     # is measured once, by its owner, however often it is forwarded.
     held = join_blocks((data[me:], data[:me]))
     sizes, longest = alltoall_row_sizes(held)
-    base = seq * TAG_STRIDE
 
     if longest > ALLTOALL_SHORT_MSG:
         result: List[Any] = [None] * p
@@ -489,15 +495,14 @@ def alltoall(lib, task, comm: RealComm, me: int, data: Any, seq: int):
             acc[(me - i) % p] = got
             return acc
 
-        return run_rounds(lib, task, comm, base,
-                          pairwise(comm.group.world_ranks, me), result,
-                          out=lambda _acc, i: data[(me + i) % p], into=place)
+        return run(at, pairwise, me, 0, result,
+                   out=lambda _acc, i: data[(me + i) % p], into=place)
 
-    return run_rounds(lib, task, comm, base, schedule(comm, bruck_alltoall, me),
-                      (held, sizes), out=lambda acc, x: bruck_pack(x[0], *acc),
-                      into=_bruck_unpacked,
-                      finish=lambda acc: join_blocks((acc[0][me::-1],
-                                                      acc[0][:me:-1])))
+    return run(at, bruck_alltoall, me, 0, (held, sizes),
+               out=lambda acc, x: bruck_pack(x[0], *acc),
+               into=_bruck_unpacked,
+               finish=lambda acc: join_blocks((acc[0][me::-1],
+                                               acc[0][:me:-1])))
 
 
 def _bruck_unpacked(acc, got, x):
@@ -510,17 +515,14 @@ def _bruck_unpacked(acc, got, x):
 # scan (inclusive) and reduce_scatter_block
 # ----------------------------------------------------------------------
 
-def scan(lib, task, comm: RealComm, me: int, data: Any, op: ReductionOp, seq: int):
+def scan(run, at, me: int, data: Any, op: ReductionOp):
     fold = op.fn
-    return run_rounds(lib, task, comm, seq * TAG_STRIDE,
-                      schedule(comm, chain, me), data,
-                      into=lambda acc, prefix, _x: fold(prefix, acc))
+    return run(at, chain, me, 0, data,
+               into=lambda acc, prefix, _x: fold(prefix, acc))
 
 
-def reduce_scatter_block(
-    lib, task, comm: RealComm, me: int, data: List[Any], op: ReductionOp, seq: int
-):
-    p = comm.size
+def reduce_scatter_block(run, at, me: int, p: int, data: List[Any],
+                         op: ReductionOp):
     if len(data) != p:
         raise MpiError(f"reduce_scatter needs a list of {p} items")
     # reduce the whole vector of blocks to rank 0 (combining slot-wise so
@@ -530,8 +532,5 @@ def reduce_scatter_block(
         lambda a, b: [op(x, y) for x, y in zip(a, b)],
         commutative=op.commutative,
     )
-    reduced = yield from reduce_(lib, task, comm, me, data, slotwise, 0, seq)
-    my_block = yield from scatter(
-        lib, task, comm, me, reduced if me == 0 else None, 0, seq
-    )
-    return my_block
+    reduced = yield from reduce_(run, at, me, data, slotwise, 0)
+    return (yield from scatter(run, at, me, p, reduced if me == 0 else None, 0))

@@ -23,6 +23,7 @@ from repro.des.scheduler import Scheduler
 from repro.des.syscalls import Advance, Park
 from repro.hosts.machine import MachineSpec
 from repro.simmpi import collectives as coll, request
+from repro.simmpi.collectives import run_rounds
 from repro.simmpi.comm import RealComm
 from repro.simmpi.constants import (
     ANY_SOURCE,
@@ -366,7 +367,8 @@ class MpiLibrary:
 
     # ------------------------------------------------------------------
     # blocking collectives: each entry point runs the prologue and
-    # returns the algorithm's own generator (no forwarding frame)
+    # returns the algorithm's own generator (no forwarding frame), run
+    # by the lower half's executor on ``(lib, task, comm, seq)``
     # ------------------------------------------------------------------
     def _coll_prologue(self, task: RankTask, comm: RealComm, name: str):
         if self.destroyed:
@@ -380,45 +382,49 @@ class MpiLibrary:
 
     def barrier(self, task: RankTask, comm: RealComm):
         me, seq = self._coll_prologue(task, comm, "barrier")
-        return coll.barrier(self, task, comm, me, seq)
+        return coll.barrier(run_rounds, (self, task, comm, seq), me)
 
     def bcast(self, task: RankTask, comm: RealComm, data: Any, root: int):
         me, seq = self._coll_prologue(task, comm, "bcast")
-        return coll.bcast(self, task, comm, me, data, root, seq)
+        return coll.bcast(run_rounds, (self, task, comm, seq), me, data, root)
 
     def reduce(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp, root: int):
         me, seq = self._coll_prologue(task, comm, "reduce")
-        return coll.reduce_(self, task, comm, me, data, op, root, seq)
+        return coll.reduce_(run_rounds, (self, task, comm, seq), me, data, op,
+                            root)
 
     def allreduce(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp):
         me, seq = self._coll_prologue(task, comm, "allreduce")
-        return coll.allreduce(self, task, comm, me, data, op, seq)
+        return coll.allreduce(run_rounds, (self, task, comm, seq), me, data, op)
 
     def gather(self, task: RankTask, comm: RealComm, data: Any, root: int):
         me, seq = self._coll_prologue(task, comm, "gather")
-        return coll.gather(self, task, comm, me, data, root, seq)
+        return coll.gather(run_rounds, (self, task, comm, seq), me, data, root)
 
     def scatter(self, task: RankTask, comm: RealComm, data: Optional[List[Any]], root: int):
         me, seq = self._coll_prologue(task, comm, "scatter")
-        return coll.scatter(self, task, comm, me, data, root, seq)
+        return coll.scatter(run_rounds, (self, task, comm, seq), me, comm.size,
+                            data, root)
 
     def allgather(self, task: RankTask, comm: RealComm, data: Any):
         me, seq = self._coll_prologue(task, comm, "allgather")
-        return coll.allgather(self, task, comm, me, data, seq)
+        return coll.allgather(run_rounds, (self, task, comm, seq), me, data)
 
     def alltoall(self, task: RankTask, comm: RealComm, data: List[Any]):
         me, seq = self._coll_prologue(task, comm, "alltoall")
-        return coll.alltoall(self, task, comm, me, data, seq)
+        return coll.alltoall(run_rounds, (self, task, comm, seq), me, comm.size,
+                             data)
 
     def scan(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp):
         me, seq = self._coll_prologue(task, comm, "scan")
-        return coll.scan(self, task, comm, me, data, op, seq)
+        return coll.scan(run_rounds, (self, task, comm, seq), me, data, op)
 
     def reduce_scatter_block(
         self, task: RankTask, comm: RealComm, data: List[Any], op: ReductionOp
     ):
         me, seq = self._coll_prologue(task, comm, "reduce_scatter")
-        return coll.reduce_scatter_block(self, task, comm, me, data, op, seq)
+        return coll.reduce_scatter_block(
+            run_rounds, (self, task, comm, seq), me, comm.size, data, op)
 
     # ------------------------------------------------------------------
     # non-blocking collectives: the algorithm runs in a helper process
@@ -439,51 +445,54 @@ class MpiLibrary:
         self._helpers.append(proc)
 
     def _icoll(self, task: RankTask, comm: RealComm, name: str, make_gen):
+        """``make_gen(at, me)``: the algorithm, run by the helper with
+        its own task"""
         me, seq = self._coll_prologue(task, comm, name)
         req = RealRequest(RequestKind.COLL, comm.coll_ctx)
-        self._spawn_icoll(task, comm, name, lambda t: make_gen(t, me, seq), req)
+        self._spawn_icoll(task, comm, name,
+                          lambda t: make_gen((self, t, comm, seq), me), req)
         yield Advance(self.machine.send_overhead)
         return req
 
     def ibarrier(self, task: RankTask, comm: RealComm):
         req = yield from self._icoll(
             task, comm, "ibarrier",
-            lambda t, me, seq: coll.barrier(self, t, comm, me, seq),
+            lambda at, me: coll.barrier(run_rounds, at, me),
         )
         return req
 
     def ibcast(self, task: RankTask, comm: RealComm, data: Any, root: int):
         req = yield from self._icoll(
             task, comm, "ibcast",
-            lambda t, me, seq: coll.bcast(self, t, comm, me, data, root, seq),
+            lambda at, me: coll.bcast(run_rounds, at, me, data, root),
         )
         return req
 
     def ireduce(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp, root: int):
         req = yield from self._icoll(
             task, comm, "ireduce",
-            lambda t, me, seq: coll.reduce_(self, t, comm, me, data, op, root, seq),
+            lambda at, me: coll.reduce_(run_rounds, at, me, data, op, root),
         )
         return req
 
     def iallreduce(self, task: RankTask, comm: RealComm, data: Any, op: ReductionOp):
         req = yield from self._icoll(
             task, comm, "iallreduce",
-            lambda t, me, seq: coll.allreduce(self, t, comm, me, data, op, seq),
+            lambda at, me: coll.allreduce(run_rounds, at, me, data, op),
         )
         return req
 
     def ialltoall(self, task: RankTask, comm: RealComm, data: List[Any]):
         req = yield from self._icoll(
             task, comm, "ialltoall",
-            lambda t, me, seq: coll.alltoall(self, t, comm, me, data, seq),
+            lambda at, me: coll.alltoall(run_rounds, at, me, comm.size, data),
         )
         return req
 
     def iallgather(self, task: RankTask, comm: RealComm, data: Any):
         req = yield from self._icoll(
             task, comm, "iallgather",
-            lambda t, me, seq: coll.allgather(self, t, comm, me, data, seq),
+            lambda at, me: coll.allgather(run_rounds, at, me, data),
         )
         return req
 
@@ -628,7 +637,7 @@ class MpiLibrary:
         me = win.comm.rank_of(task.world_rank)
         fence_seq = win.next_fence_seq(me)
         seq = win.comm.next_coll_seq(task.world_rank)
-        yield from coll.barrier(self, task, win.comm, me, seq)
+        yield from coll.barrier(run_rounds, (self, task, win.comm, seq), me)
         # exactly one member flips the epoch per fence instance; the
         # barrier guarantees the flip is ordered w.r.t. everyone's ops
         flip_key = ("win_fence", win.win_id, fence_seq)

@@ -10,7 +10,7 @@ import pytest
 from repro.apps.base import MpiProgram
 from repro.errors import MpiError
 from repro.hosts import TESTBOX
-from repro.mana import ManaConfig, ManaSession, collective_impl
+from repro.mana import ManaConfig, ManaSession
 from repro.mana.config import CollectiveMode
 from repro.mana.session import run_app_native
 from repro.simmpi import collectives
@@ -104,7 +104,6 @@ def test_receivers_survive_the_sender_overwriting_row_and_held(
         return bruck_pack(cuts, held, sizes)
 
     monkeypatch.setattr(collectives, "bruck_pack", spy)
-    monkeypatch.setattr(collective_impl, "bruck_pack", spy)
 
     class Scribbler(CounterRows):
         def main(self, api):
