@@ -25,6 +25,7 @@ from typing import Dict, List
 from repro.des.syscalls import Advance
 from repro.errors import RestartError
 from repro.mana.config import CommReconstruction
+from repro.mana.pipeline.registry import ICOLL_DESCS
 from repro.mana.runtime import ManaRank
 from repro.simmpi.constants import COMM_NULL
 from repro.simmpi.group import Group
@@ -152,25 +153,14 @@ def _replay_icolls(mrank: ManaRank):
     lib, task = rt.lib, mrank.task
     new_reqs: List[RealRequest] = []
     for rec in mrank.icoll_log.records:
-        real_comm, _ = mrank.vcomms.lookup(rec.comm_vid)
-        if rec.op == "ibarrier":
-            req = yield from lib.ibarrier(task, real_comm)
-        elif rec.op == "ibcast":
-            req = yield from lib.ibcast(task, real_comm, rec.payload, rec.root)
-        elif rec.op == "ireduce":
-            req = yield from lib.ireduce(
-                task, real_comm, rec.payload, _op_by_name(rec.red_op), rec.root
-            )
-        elif rec.op == "iallreduce":
-            req = yield from lib.iallreduce(
-                task, real_comm, rec.payload, _op_by_name(rec.red_op)
-            )
-        elif rec.op == "ialltoall":
-            req = yield from lib.ialltoall(task, real_comm, rec.payload)
-        elif rec.op == "iallgather":
-            req = yield from lib.iallgather(task, real_comm, rec.payload)
-        else:
+        desc = ICOLL_DESCS.get(rec.op)
+        if desc is None:
             raise RestartError(f"unknown icoll op {rec.op!r} in replay log")
+        real_comm, _ = mrank.vcomms.lookup(rec.comm_vid)
+        # the issue-time args, rebuilt from what the record kept of them
+        args = {"data": rec.payload, "root": rec.root,
+                "op": None if rec.red_op is None else _op_by_name(rec.red_op)}
+        req = yield from desc.issue(lib, task, real_comm, args)
         new_reqs.append(req)
         mrank.icoll_log.replays += 1
     for entry in mrank.vreqs.pending_icolls():
