@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layering lint: façades stay façades, mechanism stays below policy.
 
-Eight rules, all enforced by walking module ASTs:
+Nine rules, all enforced by walking module ASTs:
 
 1. ``src/repro/mana/wrappers.py`` routes every MPI entry point through
    the interposition pipeline (``repro/mana/pipeline/``).  Costing and
@@ -79,7 +79,20 @@ Eight rules, all enforced by walking module ASTs:
    forward to an algorithm — ``[x =] yield from coll.f(...)`` then
    ``return x`` (or ``return``/``return None``), or
    ``return (yield from coll.f(...))`` — with no other yield before
-   it: the prologue runs in a plain method that returns ``coll.f(...)``.
+   it: the prologue runs in a plain method that returns ``coll.f(...)``,
+   handing the algorithm the lower half's executor and its state
+   (``coll.f(run_rounds, (self, task, comm, seq), me, ...)``).
+
+9. One algorithm per collective shape, two executors.  The round plans
+   (``plan(ranks, me, root)``) and the algorithms built on them
+   (``f(run, at, me, ...)``) are module-level functions of
+   ``src/repro/simmpi/collectives.py``, and no other module under
+   ``src/repro`` defines a module-level function under one of their
+   names.  Under ``src/repro/mana``, the only function that sends or
+   receives through ``_internal_isend``/``_internal_recv`` is the upper
+   half's executor, ``run_rounds`` in ``collective_impl.py``: any other
+   caller would be a second copy of some algorithm's message pattern,
+   which PT2PT_ALWAYS mode would then run instead of the lower half's.
 
 Usage: python tools/check_layering.py  (exit 0 = clean, 1 = violation)
 """
@@ -140,6 +153,14 @@ LOWERING_CLASS = "SemanticLowering"
 #: the lower half, whose methods must not forward to an algorithm
 LIBRARY = SRC / "repro" / "simmpi" / "library.py"
 LIBRARY_CLASS = "MpiLibrary"
+
+#: where the collective algorithms live, and their one other executor
+COLLECTIVES = SRC / "repro" / "simmpi" / "collectives.py"
+UPPER_EXECUTOR = SRC / "repro" / "mana" / "collective_impl.py"
+UPPER_EXECUTOR_FN = "run_rounds"
+#: the upper half's message primitives only that executor may call
+INTERNAL_PT2PT = ("_internal_isend", "_internal_recv")
+MANA_DIR = "repro/mana"
 
 
 def _imports(path: Path) -> List[Tuple[int, str, str]]:
@@ -384,11 +405,68 @@ def forwarding_violations() -> List[str]:
     return bad
 
 
+def collective_algorithms(path: Path = COLLECTIVES) -> List[str]:
+    """Rule 9's names: the module-level plans ``(wr, me, root)`` and
+    algorithms ``(run, at, ...)`` of ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            params = [a.arg for a in fn.args.args]
+            if params[:2] == ["run", "at"] or params == ["wr", "me", "root"]:
+                names.append(fn.name)
+    return names
+
+
+def algorithm_copies(path: Path, names) -> List[Tuple[int, str]]:
+    """Rule 9 on one file: (lineno, name) of each module-level function
+    named after a collective algorithm or plan."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(fn.lineno, fn.name) for fn in tree.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name in names]
+
+
+def internal_pt2pt_callers(path: Path,
+                           allowed: str = "") -> List[Tuple[int, str]]:
+    """Rule 9 on one file: (lineno, attribute) of each use of
+    ``_internal_isend``/``_internal_recv`` outside the function named
+    ``allowed``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == allowed:
+            inside.update(id(n) for n in ast.walk(fn))
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in INTERNAL_PT2PT
+                  and id(n) not in inside)
+
+
+def collective_violations() -> List[str]:
+    bad = []
+    names = collective_algorithms()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path == COLLECTIVES:
+            continue
+        rel = path.relative_to(REPO)
+        bad.extend(f"{rel}:{lineno}: {name} defines a collective algorithm "
+                   f"outside {COLLECTIVES.relative_to(REPO)} (run that one "
+                   f"with this layer's executor)"
+                   for lineno, name in algorithm_copies(path, names))
+    for path in sorted((SRC / MANA_DIR).rglob("*.py")):
+        rel = path.relative_to(REPO)
+        allowed = UPPER_EXECUTOR_FN if path == UPPER_EXECUTOR else ""
+        bad.extend(f"{rel}:{lineno}: {attr} outside the upper half's "
+                   f"collective executor (collective_impl.run_rounds)"
+                   for lineno, attr in internal_pt2pt_callers(path, allowed))
+    return bad
+
+
 def main() -> int:
     bad = (wrapper_violations() + faults_violations() + storage_violations()
            + des_violations() + ir_violations() + portable_violations()
            + campaign_violations() + campaign_reverse_violations()
-           + forwarding_violations())
+           + forwarding_violations() + collective_violations())
     if bad:
         for line in bad:
             print(line, file=sys.stderr)
@@ -405,7 +483,10 @@ def main() -> int:
             "imports only bench/util/errors and the app/session entry "
             "points, and nothing below it imports repro.campaign; no "
             "SemanticLowering method only forwards to another generator "
-            "and no MpiLibrary method ends in a forward to coll",
+            "and no MpiLibrary method ends in a forward to coll; "
+            "collective algorithms live only in repro/simmpi/"
+            "collectives.py, and only collective_impl.run_rounds calls "
+            "_internal_isend/_internal_recv",
             file=sys.stderr,
         )
         return 1
@@ -416,7 +497,9 @@ def main() -> int:
           "repro.util/repro.errors; the portable upper half imports "
           "neither repro.hosts nor repro.simnet; repro.campaign touches "
           "only entry points and no lower layer imports it back; "
-          "SemanticLowering and MpiLibrary have no forwarding generators")
+          "SemanticLowering and MpiLibrary have no forwarding generators; "
+          "one copy of each collective algorithm, and one upper-half "
+          "executor")
     return 0
 
 
