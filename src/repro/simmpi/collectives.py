@@ -1,11 +1,11 @@
 """Collective algorithms implemented on point-to-point messaging.
 
-Each algorithm is a plain function of the library, the calling task, the
-communicator, and the collective sequence number that identifies this
-instance; it returns the one generator the calling rank runs.  Internal
-messages travel on the communicator's *collective* context ID with tags
-derived from the sequence number, so they can never match application
-receives.
+Each algorithm is a plain function of an executor, the state that
+executor runs in, and the caller's rank in the communicator; it returns
+the one generator the calling rank runs.  In the lower half, messages
+travel on the communicator's *collective* context ID with tags derived
+from the collective sequence number, so they can never match
+application receives.
 
 The algorithms are the textbook ones (binomial trees, recursive doubling,
 dissemination, Bruck, pairwise exchange) because the paper's performance
