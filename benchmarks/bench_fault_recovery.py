@@ -20,9 +20,8 @@ epoch and the crash), while detection latency stays flat — it is set by
 the heartbeat timeout, not by the interval.
 """
 
-from repro.apps.micro import TokenRing
 from repro.bench import BenchScale, current_scale, save_result, write_bench_json
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultInjector, FaultSchedule, token_ring_job
 from repro.hosts import TESTBOX
 from repro.mana import ManaConfig
 from repro.mana.session import ManaSession
@@ -32,15 +31,9 @@ from repro.util.tables import AsciiTable
 INTERVAL_FRACS = (0.15, 0.25, 0.4)
 
 
-def _workload(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
-
-
 def fault_point(nranks: int, interval_frac: float, seed: int) -> dict:
     """One sweep point: periodic checkpoints + one seeded-random kill."""
-    factory, expected = _workload(nranks)
+    factory, expected = token_ring_job(nranks)
     ref = ManaSession(
         nranks, factory, TESTBOX, ManaConfig.feature_2pc()
     ).run()

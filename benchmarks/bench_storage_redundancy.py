@@ -22,10 +22,9 @@ Expected shape: redundant policies survive at the newest epoch;
 is the point); heavier write paths cost more per checkpoint.
 """
 
-from repro.apps.micro import TokenRing
 from repro.bench import BenchScale, current_scale, save_result, write_bench_json
 from repro.errors import RecoveryError
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultInjector, FaultSchedule, token_ring_job
 from repro.hosts import TESTBOX_MN
 from repro.mana import ManaConfig
 from repro.mana.session import ManaSession
@@ -37,12 +36,6 @@ POLICY_NAMES = ("local_only", "bb_only", "partner", "xor4", "ladder")
 
 #: checkpoint interval as a fraction of the fault-free runtime
 INTERVAL_FRACS = (0.25, 0.4)
-
-
-def _workload(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
 
 
 def storage_point(nranks: int, policy_name: str, interval_frac: float,
@@ -112,7 +105,7 @@ def storage_point(nranks: int, policy_name: str, interval_frac: float,
 
 def sweep(seed: int = 7, policies=POLICY_NAMES, fracs=INTERVAL_FRACS) -> dict:
     nranks = 8 if current_scale() is BenchScale.FULL else 4
-    factory, expected = _workload(nranks)
+    factory, expected = token_ring_job(nranks)
     ref = ManaSession(
         nranks, factory, TESTBOX_MN, ManaConfig.feature_2pc()
     ).run()

@@ -35,8 +35,8 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.apps.micro import TokenRing
 from repro.errors import RecoveryError
+from repro.faults import token_ring_job
 from repro.faults.chaos import chaos_cell_references, run_chaos_cell
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import run_scenario
@@ -82,21 +82,16 @@ def run_cell(kind: str, params: dict, attempt: int = 0) -> dict:
 
 
 # ----------------------------------------------------------------------
-# the token-ring job of the fault/storage/availability sweeps and its
-# two reference runs (mirror the fault/storage benches)
+# the two reference runs of the fault/storage/availability sweeps'
+# token-ring job (repro.faults.token_ring_job, as the fault and storage
+# benches run it)
 # ----------------------------------------------------------------------
-
-def _token_ring(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
-
 
 @reference.reference_run
 def ring_ref(nranks: int, machine: str) -> float:
     """T: the runtime of the job under the paper's 2PC configuration, no
     checkpoints, no faults."""
-    factory, expected = _token_ring(nranks)
+    factory, expected = token_ring_job(nranks)
     ref = ManaSession(nranks, factory, machine_by_name(machine),
                       ManaConfig.feature_2pc()).run()
     assert ref.results == expected
@@ -109,7 +104,7 @@ def ring_base(nranks: int, machine: str, policy: Optional[str],
     """The job checkpointing every ``interval_frac × T`` under the
     fault-tolerant configuration (storage ``policy``, or its default),
     no faults: what a failure's cost is measured against."""
-    factory, expected = _token_ring(nranks)
+    factory, expected = token_ring_job(nranks)
     cfg = ManaConfig.fault_tolerant()
     if policy is not None:
         cfg = cfg.but(storage=policy_by_name(policy))
@@ -197,7 +192,7 @@ def fault_recovery(params: dict, attempt: int, ref_elapsed: float,
     ``benchmarks/bench_fault_recovery.py``)."""
     nranks = int(params["nranks"])
     seed = int(params["seed"])
-    factory, expected = _token_ring(nranks)
+    factory, expected = token_ring_job(nranks)
     interval = base["interval"]
     first_commit = base["first_commit"]
     tail = base["elapsed"] - first_commit
@@ -236,7 +231,7 @@ def storage_redundancy(params: dict, attempt: int, ref_elapsed: float,
     nranks = int(params["nranks"])
     policy_name = params["policy"]
     seed = int(params["seed"])
-    factory, expected = _token_ring(nranks)
+    factory, expected = token_ring_job(nranks)
     cfg = ManaConfig.fault_tolerant().but(storage=policy_by_name(policy_name))
     interval = base["interval"]
     first_commit = base["first_commit"]
@@ -309,7 +304,7 @@ def availability(params: dict, attempt: int, ref_elapsed: float,
     interval_frac = float(params["interval_frac"])
     mtbf_frac = float(params["mtbf_frac"])
     seed = int(params["seed"])
-    factory, expected = _token_ring(nranks)
+    factory, expected = token_ring_job(nranks)
     interval = base["interval"]
     mtbf = ref_elapsed * mtbf_frac
 

@@ -128,10 +128,6 @@ class CampaignRun:
         return sum(n for s, n in self.counts.items()
                    if s not in ("ok", "lost"))
 
-    @property
-    def lost_cells(self) -> int:
-        return self.counts.get("lost", 0)
-
 
 def _context():
     methods = multiprocessing.get_all_start_methods()

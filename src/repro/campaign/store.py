@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.bench.attribution import provenance
 from repro.errors import CampaignError
@@ -174,9 +174,6 @@ class CampaignStore:
                 if isinstance(rec, dict) and "cell_id" in rec:
                     out[rec["cell_id"]] = rec
         return out
-
-    def completed_ids(self) -> List[str]:
-        return sorted(self.records())
 
     def status_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -59,7 +59,7 @@ class Scheduler:
         self._events_run = 0
         self._max_events = max_events
         self._running = False
-        #: event-count watchpoints (chaos injection): sorted
+        #: event-count watchpoints (fault injection): sorted
         #: ``(event_count, fn)`` pairs; ``fn()`` runs immediately before
         #: the matching event is dispatched.  ``_watch_next`` caches the
         #: nearest count so the hot loop pays one int compare per event
@@ -117,15 +117,17 @@ class Scheduler:
             heapq.heappush(self._queue, (t, next(self._seq), fn, arg))
 
     # ------------------------------------------------------------------
-    # event watchpoints (crash-anywhere chaos injection)
+    # event watchpoints (fault injection at an event index)
     # ------------------------------------------------------------------
     def add_event_watch(self, n: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` when the ``n``-th event (1-based, counted across
         the scheduler's lifetime) is about to be dispatched.
 
-        The chaos harness uses this to inject a fault at an exact event
-        index — deterministically, wherever that event falls: inside a
-        checkpoint commit, a recovery window, or a REEXEC replay."""
+        The fault injector arms a ``FaultSpec(at_event=n)`` through this
+        — the crash-anywhere chaos sweep's trigger — so a fault lands at
+        an exact event index, deterministically, wherever that event
+        falls: inside a checkpoint commit, a recovery window, or a
+        REEXEC replay."""
         if n <= self._events_run:
             raise SimulationError(
                 f"event watch at {n} is in the past "

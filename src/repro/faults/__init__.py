@@ -16,9 +16,23 @@ fault-free runs completely unaffected.
   :class:`~repro.mana.session.ManaSession`.
 * :mod:`repro.faults.scenarios` — the named end-to-end survivability
   scenarios the CLI (``repro-mana faults``) and the fault benchmark run.
+* :mod:`repro.faults.chaos` — the crash-anywhere sweep: a seeded fault
+  at an event index, fired through the same injector.
+* :func:`token_ring_job` — the token-ring job those sweeps, the
+  campaign cells and the fault benches strike.
 """
 
+from repro.apps.micro import TokenRing
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule, FaultSpec
 
-__all__ = ["FaultInjector", "FaultSchedule", "FaultSpec"]
+__all__ = ["FaultInjector", "FaultSchedule", "FaultSpec", "token_ring_job"]
+
+
+def token_ring_job(nranks: int, laps: int = 10):
+    """The job every fault sweep strikes: a :class:`TokenRing` of
+    ``laps`` laps with 2 ms of compute per hop.  Returns the per-rank
+    app factory and the results a correct run ends with."""
+    factory = lambda r: TokenRing(r, laps=laps, compute_s=2e-3)  # noqa: E731
+    expected = [TokenRing.expected(r, nranks, laps) for r in range(nranks)]
+    return factory, expected

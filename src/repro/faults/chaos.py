@@ -4,7 +4,11 @@ timing.
 The sweep re-runs one deterministic workload many times, injecting a
 fault at the k-th scheduler event — *any* event, including inside the
 checkpoint commit, inside the recovery window, and during REEXEC
-replay — and then checks invariants with :func:`verify_run`.  Every
+replay — and then checks invariants with :func:`verify_run`.  The
+harness only draws the fault: each point is one seeded
+``FaultSpec(kind, at_event=k, ...)``, fired by the same
+:class:`~repro.faults.injector.FaultInjector` as every other fault, so
+chaos kills, storms and store damage are the scenarios' own.  Every
 injection point must end in exactly one of three accounted outcomes:
 
 * ``completed`` — the fault was absorbed (or landed after the work was
@@ -26,9 +30,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.micro import TokenRing
 from repro.des.process import ProcState
 from repro.errors import JobLostError
+from repro.faults import token_ring_job
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.hosts import TESTBOX_MN
 from repro.mana.config import ManaConfig
 from repro.mana.session import ManaSession
@@ -64,14 +70,8 @@ def chaos_config() -> ManaConfig:
     )
 
 
-def _workload(nranks: int, laps: int):
-    factory = lambda r: TokenRing(r, laps=laps, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, laps) for r in range(nranks)]
-    return factory, expected
-
-
 def _session(nranks: int, laps: int) -> ManaSession:
-    factory, _ = _workload(nranks, laps)
+    factory, _ = token_ring_job(nranks, laps)
     sess = ManaSession(nranks, factory, TESTBOX_MN, chaos_config())
     sess.sched._max_events = _MAX_EVENTS
     return sess
@@ -86,7 +86,7 @@ def chaos_golden(nranks: int = 4, laps: int = 6) -> dict:
     A reference run (:mod:`repro.util.reference`): two full sessions,
     computed once per process for each ``(nranks, laps)`` and shared by
     every point that strikes it — read-only."""
-    _factory, expected = _workload(nranks, laps)
+    _factory, expected = token_ring_job(nranks, laps)
     probe = _session(nranks, laps).run()
     assert probe.results == expected, "chaos workload reference is wrong"
     interval = probe.elapsed / 3.0
@@ -111,97 +111,42 @@ def chaos_golden(nranks: int = 4, laps: int = 6) -> dict:
 # ----------------------------------------------------------------------
 def _arm_chaos_fault(sess: ManaSession, kind: str, event: int, seed: int,
                      depth: int) -> dict:
-    """Register an event watch that applies fault ``kind`` right before
-    the ``event``-th scheduler event dispatches.  All randomness is
-    drawn from ``make_rng(seed, "chaos", kind, event)`` at arm time, so
-    the same (seed, kind, event) always injects the same fault."""
-    rt = sess.rt
-    sched = sess.sched
+    """Arm fault ``kind`` to fire right before the ``event``-th scheduler
+    event dispatches: one ``FaultSpec(kind, at_event=event, ...)``
+    through the :class:`FaultInjector`.  All randomness is drawn from
+    ``make_rng(seed, "chaos", kind, event)`` at arm time, so the same
+    (seed, kind, event) always injects the same fault."""
+    nranks = sess.rt.nranks
     rng = make_rng(seed, "chaos", kind, event)
     detail: dict = {"kind": kind, "event": event}
-
-    def kill_rank_procs(rank: int, reason: str) -> List[str]:
-        mrank = rt.ranks[rank]  # fire-time lookup: recovery swaps these
-        if mrank.finalized:
-            return []
-        killed = []
-        for label, proc in (("main", mrank.proc),
-                            ("ckpt_thread", mrank.ckpt_proc),
-                            ("heartbeat", mrank.hb_proc)):
-            if proc is not None and sched.kill(proc, reason=reason):
-                killed.append(label)
-        return killed
-
-    if kind == "kill_rank":
-        victim = int(rng.integers(rt.nranks))
+    if kind in ("kill_rank", "blob_corrupt"):
+        victim = int(rng.integers(nranks))
         detail["rank"] = victim
-
-        def fire() -> None:
-            kill_rank_procs(victim, f"chaos: kill_rank @event {event}")
-
+        spec = FaultSpec(kind, at_event=event, rank=victim)
     elif kind == "crash_storm":
-        start = int(rng.integers(rt.nranks))
+        start = int(rng.integers(nranks))
         # gaps straddle the detection latency (~heartbeat_timeout): short
         # gaps merge victims into one detection, long ones land follow-up
         # kills inside the recovery window itself — the cascade path
         gap = float(rng.uniform(2e-3, 1.5e-2))
         detail.update(rank=start, depth=depth, gap=gap)
-
-        def fire() -> None:
-            for j in range(depth):
-                victim = (start + j) % rt.nranks
-                if j == 0:
-                    kill_rank_procs(victim, "chaos: storm victim 0")
-                else:
-                    sched.schedule(
-                        j * gap,
-                        lambda v=victim, j=j: kill_rank_procs(
-                            v, f"chaos: storm victim {j}"
-                        ),
-                    )
-
+        spec = FaultSpec(kind, at_event=event, rank=start, count=depth,
+                         delay=gap)
     elif kind == "node_loss":
-        node = sess.machine.node_of(int(rng.integers(rt.nranks)))
+        node = sess.machine.node_of(int(rng.integers(nranks)))
         detail["node"] = node
-
-        def fire() -> None:
-            for mrank in rt.ranks:
-                if sess.machine.node_of(mrank.rank) == node:
-                    kill_rank_procs(mrank.rank, f"chaos: node_loss {node}")
-            rt.store.drop_node(node)
-
+        spec = FaultSpec(kind, at_event=event, node=node)
     elif kind == "tier_lost":
         tier = ("local", "partner", "bb")[int(rng.integers(3))]
         detail["tier"] = tier
-
-        def fire() -> None:
-            rt.store.drop_tier(tier)
-
+        spec = FaultSpec(kind, at_event=event, tier=tier)
     elif kind == "oob_delay":
-        budget = [6]
         delay = float(rng.uniform(2e-3, 8e-3))
-        detail.update(delay=delay, msgs=budget[0])
-
-        def oob_filter(dst, item):
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
-            return ("delay", delay)
-
-        def fire() -> None:
-            sess.oob.set_fault_filter(oob_filter)
-
-    elif kind == "blob_corrupt":
-        victim = int(rng.integers(rt.nranks))
-        detail["rank"] = victim
-
-        def fire() -> None:
-            rt.store.corrupt_copy(victim)
-
+        detail.update(delay=delay, msgs=6)
+        spec = FaultSpec(kind, at_event=event, count=6, delay=delay)
     else:
         raise ValueError(f"unknown chaos kind {kind!r}; one of {CHAOS_KINDS}")
-
-    sched.add_event_watch(event, fire)
+    FaultInjector(sess, FaultSchedule([spec])).arm()
     return detail
 
 

@@ -1,24 +1,35 @@
 """The fault injector: arms a schedule's faults on a wired session.
 
+It is the one place faults are fired from — the named scenarios, the
+campaign cells, the fault benches and the crash-anywhere chaos harness
+all hand it a :class:`FaultSchedule`.  Each spec fires at its trigger: a
+virtual time (``at``, a scheduled callback) or an event index
+(``at_event``, a :meth:`Scheduler.add_event_watch`); a spec with neither
+fires from :meth:`FaultInjector.arm` itself.
+
 Each fault kind maps onto one mechanism hook:
 
-* ``kill_rank`` — a scheduled callback that :meth:`Scheduler.kill`\\ s
-  the rank's main process, checkpoint thread, and heartbeat daemon (a
-  real crash takes the whole OS process, sockets included — the rank
-  falls silent, which is exactly what the coordinator's heartbeat
-  monitor detects).
+* ``kill_rank`` / ``crash_storm`` / ``node_loss`` /
+  ``crash_during_recovery`` — :meth:`Scheduler.kill` on the rank's main
+  process, checkpoint thread, and heartbeat daemon (a real crash takes
+  the whole OS process, sockets included — the rank falls silent, which
+  is exactly what the coordinator's heartbeat monitor detects).
+* ``tier_lost`` / ``node_loss`` / ``blob_corrupt`` / ``manifest_torn``
+  — the checkpoint store's public fault surface.
 * ``oob_*`` — an :class:`~repro.simnet.oob.OobChannel` fault filter.
 * ``net_*`` — a :class:`~repro.simnet.network.Network` fault filter.
 * ``bb_write_fail`` — the :attr:`ManaRuntime.bb_fault_hook` socket
   consulted by the per-rank checkpoint cycle.
 
-Every triggered fault is appended to ``rt.fault_records`` and emitted on
-the trace spine (stage ``"faults"``), so a run's injuries are auditable
-next to its recoveries.
+Filters and hooks are installed at :meth:`FaultInjector.arm`, but a spec
+matches only once it has fired.  Every triggered fault is appended to
+``rt.fault_records`` and emitted on the trace spine (stage ``"faults"``),
+so a run's injuries are auditable next to its recoveries.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.faults.schedule import FaultSchedule, FaultSpec
@@ -36,7 +47,8 @@ class FaultInjector:
         self.session = session
         self.rt = session.rt
         self.schedule = schedule
-        self._budget = {i: spec.count for i, spec in enumerate(schedule.specs)}
+        #: matches left per filter/hook spec: 0 until the spec fires
+        self._budget = [0] * len(schedule.specs)
         self._armed = False
 
     # ------------------------------------------------------------------
@@ -46,26 +58,13 @@ class FaultInjector:
         self._armed = True
         sched = self.rt.sched
         for i, spec in enumerate(self.schedule.specs):
-            if spec.kind == "kill_rank":
-                sched.schedule_at(spec.at, self._make_kill(i, spec))
-            elif spec.kind == "tier_lost":
-                sched.schedule_at(spec.at, self._make_tier_loss(i, spec))
-            elif spec.kind == "node_loss":
-                sched.schedule_at(spec.at, self._make_node_loss(i, spec))
-            elif spec.kind == "blob_corrupt":
-                sched.schedule_at(spec.at, self._make_corrupt(i, spec))
-            elif spec.kind == "manifest_torn":
-                # armed immediately: the tear happens at the epoch's own
-                # commit point, whenever that is
-                if self._spend(i):
-                    self.rt.store.arm_manifest_tear(spec.epoch)
-                    self._record(i, spec, epoch=spec.epoch, armed=True)
-            elif spec.kind == "crash_storm":
-                for j in range(spec.count):
-                    sched.schedule_at(
-                        spec.at + j * spec.delay,
-                        self._make_storm_kill(i, spec, j),
-                    )
+            fire = partial(self._fire, i, spec)
+            if spec.at is not None:
+                sched.schedule_at(spec.at, fire)
+            elif spec.at_event is not None:
+                sched.add_event_watch(spec.at_event, fire)
+            else:
+                fire()
         if self.schedule.by_kind("crash_during_recovery"):
             self.session.recovery_phase_hooks.append(self._recovery_hook)
         if self.schedule.by_kind("oob_drop", "oob_delay"):
@@ -75,6 +74,55 @@ class FaultInjector:
         if self.schedule.by_kind("bb_write_fail"):
             self.rt.bb_fault_hook = self._bb_hook
         return self
+
+    def _fire(self, i: int, spec: FaultSpec) -> None:
+        """Spec ``i``'s trigger: a timed kind happens now; a filter or
+        hook starts matching, ``spec.count`` times."""
+        kind = spec.kind
+        if kind == "kill_rank":
+            killed = self._kill_procs(spec.rank,
+                                      f"fault: kill_rank {spec.rank}")
+            if killed is not None:
+                self._record(i, spec, rank=spec.rank, killed=killed)
+        elif kind == "crash_storm":
+            self._storm_kill(i, spec, 0)
+            for j in range(1, spec.count):
+                self.rt.sched.schedule(j * spec.delay,
+                                       partial(self._storm_kill, i, spec, j))
+        # storage faults go through the store's public fault surface
+        # (policy layer calling down into mechanism, never reverse)
+        elif kind == "tier_lost":
+            dropped = self.rt.store.drop_tier(
+                spec.tier, rank=spec.rank, epoch=spec.epoch
+            )
+            self._record(i, spec, tier=spec.tier, rank=spec.rank,
+                         epoch=spec.epoch, copies_dropped=dropped)
+        elif kind == "node_loss":
+            # the node's resident ranks crash exactly like kill_rank ...
+            node_of = self.rt.machine.node_of
+            ranks = [
+                m.rank for m in self.rt.ranks if node_of(m.rank) == spec.node
+                and self._kill_procs(m.rank, f"fault: node_loss {spec.node}")
+                is not None
+            ]
+            # ... and every checkpoint copy the node hosts dies with it
+            dropped = self.rt.store.drop_node(spec.node)
+            self._record(i, spec, node=spec.node, ranks=ranks,
+                         copies_dropped=dropped)
+        elif kind == "blob_corrupt":
+            hit = self.rt.store.corrupt_copy(
+                spec.rank, tier=spec.tier, epoch=spec.epoch
+            )
+            # the injection is recorded (auditable), but the *store*
+            # stays silent: only read-path verification discovers it
+            self._record(i, spec, rank=spec.rank, tier=spec.tier,
+                         epoch=spec.epoch, corrupted=hit)
+        elif kind == "manifest_torn":
+            # the tear itself lands at the epoch's own commit point
+            self.rt.store.arm_manifest_tear(spec.epoch)
+            self._record(i, spec, epoch=spec.epoch, armed=True)
+        else:  # a filter or hook: it matches from now on
+            self._budget[i] = spec.count
 
     # ------------------------------------------------------------------
     def _record(self, i: int, spec: FaultSpec, **detail) -> None:
@@ -86,64 +134,26 @@ class FaultInjector:
             tr.emit("faults", spec.kind, **{k: v for k, v in rec.items()
                                             if k not in ("kind",)})
 
-    def _spend(self, i: int) -> bool:
-        if self._budget[i] <= 0:
-            return False
-        self._budget[i] -= 1
-        return True
-
-    # ------------------------------------------------------------------
-    def _make_kill(self, i: int, spec: FaultSpec):
-        def kill() -> None:
-            # look the rank up *now*: recovery may have replaced the
-            # ManaRank object since the schedule was armed
-            mrank = self.rt.ranks[spec.rank]
-            if mrank.finalized or not self._spend(i):
-                return
-            killed: List[str] = []
-            for label, proc in (("main", mrank.proc),
-                                ("ckpt_thread", mrank.ckpt_proc),
-                                ("heartbeat", mrank.hb_proc)):
-                if proc is not None and self.rt.sched.kill(
-                    proc, reason=f"fault: kill_rank {spec.rank}"
-                ):
-                    killed.append(label)
-            self._record(i, spec, rank=spec.rank, killed=killed)
-
-        return kill
-
-    def _kill_rank_now(self, i: int, spec: FaultSpec, rank: int,
-                       reason: str, **detail) -> None:
-        """Kill one rank's processes right now (shared by the storm and
-        recovery-window kinds; looks the rank up at fire time since
-        recovery may have replaced the ManaRank object)."""
+    def _kill_procs(self, rank: int, reason: str) -> Optional[List[str]]:
+        """Crash rank ``rank`` now: its main process, checkpoint thread
+        and heartbeat daemon.  Returns the labels of those that were
+        alive, or None if the rank had already finalized.  The rank is
+        looked up at fire time: recovery may have replaced its ManaRank
+        object since the schedule was armed."""
         mrank = self.rt.ranks[rank]
         if mrank.finalized:
-            return
-        killed: List[str] = []
-        for label, proc in (("main", mrank.proc),
-                            ("ckpt_thread", mrank.ckpt_proc),
-                            ("heartbeat", mrank.hb_proc)):
-            if proc is not None and self.rt.sched.kill(proc, reason=reason):
-                killed.append(label)
-        self._record(i, spec, rank=rank, killed=killed, **detail)
+            return None
+        return [label for label, proc in (("main", mrank.proc),
+                                          ("ckpt_thread", mrank.ckpt_proc),
+                                          ("heartbeat", mrank.hb_proc))
+                if proc is not None
+                and self.rt.sched.kill(proc, reason=reason)]
 
-    def _make_storm_kill(self, i: int, spec: FaultSpec, j: int):
-        nranks = self.rt.nranks
-        victim = ((spec.rank or 0) + j) % nranks
-
-        def kill() -> None:
-            # storms deliberately share one budget entry of size count:
-            # each scheduled kill spends one unit
-            if self._budget[i] <= 0:
-                return
-            self._budget[i] -= 1
-            self._kill_rank_now(
-                i, spec, victim,
-                reason=f"fault: crash_storm victim {j}", storm_index=j,
-            )
-
-        return kill
+    def _storm_kill(self, i: int, spec: FaultSpec, j: int) -> None:
+        victim = ((spec.rank or 0) + j) % self.rt.nranks
+        killed = self._kill_procs(victim, f"fault: crash_storm victim {j}")
+        if killed is not None:
+            self._record(i, spec, rank=victim, killed=killed, storm_index=j)
 
     def _recovery_hook(self, phase: str, ctx: dict) -> None:
         """Fired by the orchestrator at every phase transition: lands
@@ -156,68 +166,13 @@ class FaultInjector:
             want = spec.phase if spec.phase is not None else "replay"
             if phase != want:
                 continue
-            self._spend(i)
-            self._kill_rank_now(
-                i, spec, spec.rank,
-                reason=f"fault: crash during recovery ({phase})",
-                phase=phase, attempt=ctx.get("attempt"),
-                incarnation=ctx.get("incarnation"),
-            )
-
-    # ------------------------------------------------------------------
-    # storage faults: damage goes through the store's public fault
-    # surface (policy layer calling down into mechanism, never reverse)
-    # ------------------------------------------------------------------
-    def _make_tier_loss(self, i: int, spec: FaultSpec):
-        def lose() -> None:
-            if not self._spend(i):
-                return
-            dropped = self.rt.store.drop_tier(
-                spec.tier, rank=spec.rank, epoch=spec.epoch
-            )
-            self._record(i, spec, tier=spec.tier, rank=spec.rank,
-                         epoch=spec.epoch, copies_dropped=dropped)
-
-        return lose
-
-    def _make_node_loss(self, i: int, spec: FaultSpec):
-        def lose() -> None:
-            if not self._spend(i):
-                return
-            # the node's resident ranks crash exactly like kill_rank ...
-            machine = self.rt.machine
-            killed_ranks: List[int] = []
-            for mrank in self.rt.ranks:
-                if machine.node_of(mrank.rank) != spec.node:
-                    continue
-                if mrank.finalized:
-                    continue
-                for proc in (mrank.proc, mrank.ckpt_proc, mrank.hb_proc):
-                    if proc is not None:
-                        self.rt.sched.kill(
-                            proc, reason=f"fault: node_loss {spec.node}"
-                        )
-                killed_ranks.append(mrank.rank)
-            # ... and every checkpoint copy the node hosts dies with it
-            dropped = self.rt.store.drop_node(spec.node)
-            self._record(i, spec, node=spec.node, ranks=killed_ranks,
-                         copies_dropped=dropped)
-
-        return lose
-
-    def _make_corrupt(self, i: int, spec: FaultSpec):
-        def corrupt() -> None:
-            if not self._spend(i):
-                return
-            hit = self.rt.store.corrupt_copy(
-                spec.rank, tier=spec.tier, epoch=spec.epoch
-            )
-            # the injection is recorded (auditable), but the *store*
-            # stays silent: only read-path verification discovers it
-            self._record(i, spec, rank=spec.rank, tier=spec.tier,
-                         epoch=spec.epoch, corrupted=hit)
-
-        return corrupt
+            self._budget[i] -= 1
+            killed = self._kill_procs(
+                spec.rank, f"fault: crash during recovery ({phase})")
+            if killed is not None:
+                self._record(i, spec, rank=spec.rank, killed=killed,
+                             phase=phase, attempt=ctx.get("attempt"),
+                             incarnation=ctx.get("incarnation"))
 
     # ------------------------------------------------------------------
     def _oob_filter(self, dst: int, item) -> Optional[Tuple]:
@@ -231,7 +186,7 @@ class FaultInjector:
                 continue
             if spec.dst is not None and dst != spec.dst:
                 continue
-            self._spend(i)
+            self._budget[i] -= 1
             if spec.kind == "oob_drop":
                 self._record(i, spec, msg_kind=kind, dst=dst)
                 return ("drop",)
@@ -249,7 +204,7 @@ class FaultInjector:
                 continue
             if spec.dst is not None and msg.dst != spec.dst:
                 continue
-            self._spend(i)
+            self._budget[i] -= 1
             if spec.kind == "net_drop":
                 self._record(i, spec, src=msg.src, dst=msg.dst,
                              nbytes=msg.nbytes)
@@ -268,7 +223,7 @@ class FaultInjector:
                 continue
             if spec.epoch is not None and image.epoch != spec.epoch:
                 continue
-            self._spend(i)
+            self._budget[i] -= 1
             self._record(i, spec, rank=mrank.rank, epoch=image.epoch,
                          frac=spec.frac)
             return spec.frac

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.apps.micro import TokenRing
+from repro.faults import token_ring_job
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.hosts import TESTBOX, TESTBOX_MN
@@ -57,14 +57,8 @@ def run_scenario(name: str, seed: int = 0, nranks: int = 4) -> dict:
 
 
 # ----------------------------------------------------------------------
-def _workload(nranks: int):
-    factory = lambda r: TokenRing(r, laps=10, compute_s=2e-3)  # noqa: E731
-    expected = [TokenRing.expected(r, nranks, 10) for r in range(nranks)]
-    return factory, expected
-
-
 def _reference(nranks: int):
-    factory, expected = _workload(nranks)
+    factory, expected = token_ring_job(nranks)
     ref = ManaSession(
         nranks, factory, TESTBOX, ManaConfig.feature_2pc()
     ).run()
@@ -224,7 +218,7 @@ def _two_ckpt_run(nranks: int, factory, policy, plans, schedule=None):
     "disabled falls back to the previous durable epoch",
 )
 def node_loss_degraded(seed: int, nranks: int) -> dict:
-    factory, expected = _workload(nranks)
+    factory, expected = token_ring_job(nranks)
     ref = ManaSession(
         nranks, factory, TESTBOX_MN, ManaConfig.feature_2pc()
     ).run()
@@ -314,7 +308,7 @@ def node_loss_degraded(seed: int, nranks: int) -> dict:
 def corrupt_blob(seed: int, nranks: int) -> dict:
     from repro.util.trace import RingBufferSink
 
-    factory, expected = _workload(nranks)
+    factory, expected = token_ring_job(nranks)
     ref = ManaSession(
         nranks, factory, TESTBOX_MN, ManaConfig.feature_2pc()
     ).run()

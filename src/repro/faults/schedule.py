@@ -15,7 +15,7 @@ from repro.util.rng import make_rng
 
 #: everything an injector knows how to do
 KINDS = (
-    "kill_rank",      # crash one rank's process at a virtual time
+    "kill_rank",      # crash one rank's processes
     "oob_drop",       # eat matching coordinator-channel messages
     "oob_delay",      # delay matching coordinator-channel messages
     "net_drop",       # lose matching fabric messages on the wire
@@ -33,14 +33,31 @@ KINDS = (
 #: targets one of these via ``FaultSpec.phase``)
 RECOVERY_PHASES = ("select_epoch", "teardown", "rebuild", "replay", "resume")
 
+#: kinds that happen once, at their trigger, and so must have one
+TIMED_KINDS = ("kill_rank", "tier_lost", "node_loss", "blob_corrupt",
+               "crash_storm")
+
+#: the field each kind cannot do without
+_REQUIRED = {"kill_rank": "rank", "bb_write_fail": "rank",
+             "tier_lost": "tier", "node_loss": "node", "blob_corrupt": "rank",
+             "manifest_torn": "epoch", "crash_during_recovery": "rank"}
+
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One declarative fault.
 
-    Fields are interpreted per ``kind``:
+    A spec fires at its trigger: virtual time ``at``, or ``at_event``,
+    right before the scheduler dispatches its ``at_event``-th event
+    (1-based, as :meth:`~repro.des.scheduler.Scheduler.add_event_watch`
+    counts).  At most one of the two is given.  The kinds of
+    :data:`TIMED_KINDS` happen at the trigger and need one; every other
+    kind is a filter or hook that matches only once its trigger has
+    fired, and from :meth:`FaultInjector.arm` on when it has none.
 
-    * ``kill_rank``: ``rank`` dies at virtual time ``at``.
+    The other fields are interpreted per ``kind``:
+
+    * ``kill_rank``: ``rank`` dies.
     * ``oob_drop`` / ``oob_delay``: affect the next ``count`` OOB
       messages whose tuple kind equals ``match`` (e.g. ``"checkpoint"``
       for the 2PC COMMIT, ``"post_ckpt"``, ``"intent"``) and whose
@@ -52,17 +69,17 @@ class FaultSpec:
     * ``bb_write_fail``: rank ``rank``'s image write fails after
       ``frac`` of the write time, during epoch ``epoch`` (None = the
       next write), ``count`` times.
-    * ``tier_lost``: at virtual time ``at``, destroy the checkpoint
-      copies on storage tier ``tier`` (``local`` / ``partner`` / ``bb``
-      / ``parity``), scoped to ``rank`` and/or ``epoch`` when given.
-    * ``node_loss``: at ``at``, node ``node`` dies — its resident
-      ranks' processes crash AND every checkpoint copy the node hosts
-      (local copies, partner replicas for others, parity blocks) is
-      destroyed.  Burst-buffer copies survive.
-    * ``blob_corrupt``: at ``at``, silently flip one byte in rank
-      ``rank``'s stored copy (``tier``/``epoch`` narrow the target;
-      defaults pick the newest copy on the first tier that has one).
-      Detected only by checksum verification on the read path.
+    * ``tier_lost``: destroy the checkpoint copies on storage tier
+      ``tier`` (``local`` / ``partner`` / ``bb`` / ``parity``), scoped
+      to ``rank`` and/or ``epoch`` when given.
+    * ``node_loss``: node ``node`` dies — its resident ranks' processes
+      crash AND every checkpoint copy the node hosts (local copies,
+      partner replicas for others, parity blocks) is destroyed.
+      Burst-buffer copies survive.
+    * ``blob_corrupt``: silently flip one byte in rank ``rank``'s stored
+      copy (``tier``/``epoch`` narrow the target; defaults pick the
+      newest copy on the first tier that has one).  Detected only by
+      checksum verification on the read path.
     * ``manifest_torn``: epoch ``epoch``'s manifest write is torn at its
       commit point — the epoch's copies exist but are undiscoverable,
       so recovery must fall back past it.
@@ -71,14 +88,15 @@ class FaultSpec:
       ``teardown`` / ``rebuild`` / ``replay`` / ``resume``; default
       ``replay``), ``count`` times.  The kill lands on the freshly
       rebuilt incarnation, exercising the cascade path.
-    * ``crash_storm``: starting at ``at``, kill ``count`` ranks spaced
-      ``delay`` virtual seconds apart (rank ``rank`` first, then
+    * ``crash_storm``: kill ``count`` ranks spaced ``delay`` virtual
+      seconds apart (rank ``rank`` first, at the trigger, then
       consecutive ranks modulo the world size) — failures compounding
       faster than single-fault recovery assumes.
     """
 
     kind: str
     at: Optional[float] = None
+    at_event: Optional[int] = None
     rank: Optional[int] = None
     match: Optional[str] = None
     src: Optional[int] = None
@@ -92,43 +110,30 @@ class FaultSpec:
     phase: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; one of {KINDS}")
-        if self.kind == "kill_rank":
-            if self.at is None or self.rank is None:
-                raise ValueError("kill_rank needs 'at' and 'rank'")
-        if self.kind in ("oob_delay", "net_delay") and self.delay <= 0:
-            raise ValueError(f"{self.kind} needs a positive 'delay'")
-        if self.kind == "bb_write_fail":
-            if self.rank is None:
-                raise ValueError("bb_write_fail needs 'rank'")
-            if not 0.0 <= self.frac < 1.0:
-                raise ValueError("bb_write_fail 'frac' must be in [0, 1)")
-        if self.kind == "tier_lost":
-            if self.at is None or self.tier is None:
-                raise ValueError("tier_lost needs 'at' and 'tier'")
-        if self.kind == "node_loss":
-            if self.at is None or self.node is None:
-                raise ValueError("node_loss needs 'at' and 'node'")
-        if self.kind == "blob_corrupt":
-            if self.at is None or self.rank is None:
-                raise ValueError("blob_corrupt needs 'at' and 'rank'")
-        if self.kind == "manifest_torn" and self.epoch is None:
-            raise ValueError("manifest_torn needs 'epoch'")
-        if self.kind == "crash_during_recovery":
-            if self.rank is None:
-                raise ValueError("crash_during_recovery needs 'rank'")
+        kind = self.kind
+        if kind not in KINDS:
+            raise ValueError(f"unknown fault kind {kind!r}; one of {KINDS}")
+        if self.at is not None and self.at_event is not None:
+            raise ValueError(f"{kind} takes 'at' or 'at_event', not both")
+        if self.at_event is not None and self.at_event < 1:
+            raise ValueError(f"{kind} 'at_event' must be >= 1 (1-based)")
+        if kind in TIMED_KINDS and self.at is None and self.at_event is None:
+            raise ValueError(f"{kind} needs 'at' or 'at_event'")
+        need = _REQUIRED.get(kind)
+        if need is not None and getattr(self, need) is None:
+            raise ValueError(f"{kind} needs {need!r}")
+        if (kind in ("oob_delay", "net_delay", "crash_storm")
+                and self.delay <= 0):
+            raise ValueError(f"{kind} needs a positive 'delay'")
+        if kind == "bb_write_fail" and not 0.0 <= self.frac < 1.0:
+            raise ValueError("bb_write_fail 'frac' must be in [0, 1)")
+        if kind == "crash_during_recovery":
             phase = self.phase if self.phase is not None else "replay"
             if phase not in RECOVERY_PHASES:
                 raise ValueError(
                     f"crash_during_recovery 'phase' must be one of "
                     f"{RECOVERY_PHASES}, not {phase!r}"
                 )
-        if self.kind == "crash_storm":
-            if self.at is None:
-                raise ValueError("crash_storm needs 'at'")
-            if self.delay <= 0:
-                raise ValueError("crash_storm needs a positive 'delay'")
         if self.count < 1:
             raise ValueError("'count' must be >= 1")
 

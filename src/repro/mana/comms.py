@@ -107,9 +107,6 @@ class VirtualCommManager:
             )
         return real, cost
 
-    def gid_of(self, vid: int) -> int:
-        return self.meta[vid].gid
-
     def free(self, vid: int) -> float:
         """Retire a communicator (MANA-2.0 can; original cannot).
 

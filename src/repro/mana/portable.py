@@ -54,14 +54,6 @@ class MachineProvenance:
     cfg_name: str = ""
     nranks: int = 0
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "machine": self.machine,
-            "kernel": self.kernel,
-            "cfg_name": self.cfg_name,
-            "nranks": self.nranks,
-        }
-
     @classmethod
     def from_saved(cls, saved: Dict[str, Any]) -> "MachineProvenance":
         """Read provenance from a saved job file, tolerating pre-refactor

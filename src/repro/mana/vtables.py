@@ -15,7 +15,7 @@ count manageable at 2048 ranks.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 from repro.errors import ManaError
 from repro.mana.config import VtableBackend
@@ -127,11 +127,3 @@ class VirtualTable(Generic[V]):
 
     def items(self) -> Iterator[Tuple[int, V]]:
         return iter(sorted(self._table.items()))
-
-    def values_snapshot(self) -> Dict[int, V]:
-        return dict(self._table)
-
-    def clear_reals(self, placeholder: Any) -> None:
-        """Point every entry at a placeholder (lower half was destroyed)."""
-        for vid in self._table:
-            self._table[vid] = placeholder

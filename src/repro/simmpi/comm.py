@@ -80,9 +80,6 @@ class RealComm:
         self._coll_seq[world_rank] = seq + 1
         return seq
 
-    def coll_seq_of(self, world_rank: int) -> int:
-        return self._coll_seq[world_rank]
-
     def __repr__(self) -> str:
         return (
             f"<RealComm {self.name} ctx={self.pt2pt_ctx}/{self.coll_ctx} "

@@ -582,10 +582,6 @@ class MpiLibrary:
         comm.check_alive()
         return comm.size
 
-    def comm_group(self, comm: RealComm) -> Group:
-        comm.check_alive()
-        return comm.group
-
     def translate_group_ranks(
         self, group: Group, ranks: Sequence[int], other: Group
     ) -> List:

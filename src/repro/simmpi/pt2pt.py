@@ -104,11 +104,3 @@ class Endpoint:
     def unexpected_in_contexts(self, contexts: set) -> List[Message]:
         """Unexpected messages whose context is in ``contexts`` (tests)."""
         return [m for m in self.unexpected if m.context_id in contexts]
-
-    def cancel_posted(self, req: RealRequest) -> bool:
-        """Remove a pending posted receive (restart teardown bookkeeping)."""
-        try:
-            self.posted.remove(req)
-            return True
-        except ValueError:
-            return False

@@ -40,9 +40,6 @@ class Message:
         self.injected_at = injected_at
         self.msg_id = next(_msg_ids) if msg_id is None else msg_id
 
-    def match_key(self) -> tuple:
-        return (self.context_id, self.src, self.tag)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Msg #{self.msg_id} {self.src}->{self.dst} ctx={self.context_id} "

@@ -155,21 +155,6 @@ class JsonlSink(TraceSink):
             self._fh.close()
 
 
-class TeeSink(TraceSink):
-    """Fan one event stream out to several sinks."""
-
-    def __init__(self, *sinks: TraceSink):
-        self.sinks = list(sinks)
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
 class Tracer:
     """The emission front-end one scheduler (and everything above it)
     shares.  ``enabled`` is False with a :class:`NullSink`, so hot paths

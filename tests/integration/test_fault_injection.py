@@ -18,11 +18,41 @@ structural facts each scenario reports.
 import pytest
 
 from repro.apps.micro import TokenRing
-from repro.faults import FaultInjector, FaultSchedule, FaultSpec
+from repro.errors import DrainError, ManaError
+from repro.faults import FaultInjector, FaultSchedule, FaultSpec, token_ring_job
+from repro.faults.chaos import chaos_config, chaos_golden
 from repro.faults.scenarios import run_scenario, scenario_names
-from repro.hosts import TESTBOX
+from repro.hosts import TESTBOX, TESTBOX_MN
 from repro.mana import ManaConfig, ManaSession
 from repro.mana.session import CheckpointPlan
+
+#: the kinds that happen once, at their trigger, with the fields each
+#: case gives them besides it
+TIMED = {
+    "kill_rank": dict(rank=1),
+    "tier_lost": dict(tier="local"),
+    "node_loss": dict(node=1),
+    "blob_corrupt": dict(rank=2),
+    "crash_storm": dict(rank=0, count=2, delay=5e-3),
+}
+
+#: the detail keys of each kind's ``fault_records`` entry, besides
+#: ``spec``, ``kind`` and ``at``
+DETAIL_KEYS = {
+    "kill_rank": {"rank", "killed"},
+    "crash_storm": {"rank", "killed", "storm_index"},
+    "crash_during_recovery": {"rank", "killed", "phase", "attempt",
+                              "incarnation"},
+    "tier_lost": {"tier", "rank", "epoch", "copies_dropped"},
+    "node_loss": {"node", "ranks", "copies_dropped"},
+    "blob_corrupt": {"rank", "tier", "epoch", "corrupted"},
+    "manifest_torn": {"epoch", "armed"},
+    "oob_drop": {"msg_kind", "dst"},
+    "oob_delay": {"msg_kind", "dst", "delay"},
+    "net_drop": {"src", "dst", "nbytes"},
+    "net_delay": {"src", "dst", "delay"},
+    "bb_write_fail": {"rank", "epoch", "frac"},
+}
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +70,13 @@ def test_fault_spec_validation():
         FaultSpec(kind="bb_write_fail", rank=0, frac=1.0)  # frac in [0,1)
     with pytest.raises(ValueError):
         FaultSpec(kind="net_drop", count=0)
+    with pytest.raises(ValueError):                # one trigger, not two
+        FaultSpec(kind="kill_rank", rank=0, at=1.0, at_event=5)
+    with pytest.raises(ValueError):                # event indices are 1-based
+        FaultSpec(kind="kill_rank", rank=0, at_event=0)
+    for kind, fields in TIMED.items():             # a timed kind needs one
+        with pytest.raises(ValueError):
+            FaultSpec(kind=kind, **fields)
 
 
 def test_injector_arms_only_once():
@@ -187,3 +224,112 @@ def test_recovery_accounting_is_coherent():
     assert recovery["work_lost"] > 0
     assert recovery["recovered_at"] >= detection["detected_at"]
     assert recovery["incarnation"] == 1
+
+
+# ----------------------------------------------------------------------
+# every kind through the one firing path: the chaos sweep's job and
+# configuration, its fault-free golden run as the clock
+# ----------------------------------------------------------------------
+
+def _strike(schedule, watch_event=None):
+    """Run the chaos job under ``schedule``.  Returns the session, how
+    the run ended (its outcome, or the typed error it raised) and, when
+    ``watch_event`` is given, the virtual time that event dispatched."""
+    golden = chaos_golden(4, 6)
+    factory, expected = token_ring_job(4, 6)
+    sess = ManaSession(4, factory, TESTBOX_MN, chaos_config())
+    FaultInjector(sess, schedule).arm()
+    seen = []
+    if watch_event is not None:
+        sess.sched.add_event_watch(watch_event,
+                                   lambda: seen.append(sess.sched.now))
+    try:
+        end = sess.run(until=golden["elapsed"] * 10 + 5,
+                       checkpoint_interval=golden["interval"])
+    except ManaError as exc:
+        end = exc
+    else:
+        assert end.results == expected
+    return sess, end, (seen[0] if seen else None)
+
+
+def _assert_records(sess, kinds):
+    recs = sess.rt.fault_records
+    assert [r["kind"] for r in recs] == kinds
+    for rec in recs:
+        assert set(rec) == {"spec", "kind", "at"} | DETAIL_KEYS[rec["kind"]]
+    return recs
+
+
+def _trigger(trigger):
+    golden = chaos_golden(4, 6)
+    if trigger == "at":
+        return {"at": golden["elapsed"] * 0.5}
+    return {"at_event": golden["events"] // 2}
+
+
+@pytest.mark.parametrize("trigger", ["at", "at_event"])
+@pytest.mark.parametrize("kind", sorted(TIMED))
+def test_timed_kind_fires_once_at_its_trigger(kind, trigger):
+    when = _trigger(trigger)
+    spec = FaultSpec(kind=kind, **when, **TIMED[kind])
+    sess, end, event_t = _strike(FaultSchedule([spec]),
+                                 watch_event=when.get("at_event"))
+    assert not isinstance(end, ManaError), end
+    # once; a storm once per victim, ``delay`` apart, from the trigger
+    recs = _assert_records(sess, [kind] * (spec.count
+                                           if kind == "crash_storm" else 1))
+    fired_at = when.get("at", event_t)
+    assert [r["at"] for r in recs] == [
+        fired_at + j * spec.delay for j in range(len(recs))]
+
+
+BUILT = {
+    "kill_rank": lambda at: FaultSchedule().kill_rank(3, at=at),
+    "crash_storm": lambda at: FaultSchedule().crash_storm(
+        at, count=2, delay=5e-3, rank=3),
+    "tier_lost": lambda at: FaultSchedule().lose_tier("partner", at=at),
+    "node_loss": lambda at: FaultSchedule().lose_node(0, at=at),
+    "blob_corrupt": lambda at: FaultSchedule().corrupt_blob(0, at=at),
+    "manifest_torn": lambda at: FaultSchedule().tear_manifest(epoch=1),
+    "crash_during_recovery": lambda at: FaultSchedule().kill_rank(
+        1, at=at).kill_during_recovery(rank=2),
+    "oob_drop": lambda at: FaultSchedule().drop_oob("checkpoint"),
+    "oob_delay": lambda at: FaultSchedule().delay_oob("intent", 2e-3),
+    # a dropped application message is a DrainError by design
+    "net_drop": lambda at: FaultSchedule().drop_net(src=0, dst=1),
+    "net_delay": lambda at: FaultSchedule().delay_net(
+        1e-3, src=0, dst=1, count=3),
+    "bb_write_fail": lambda at: FaultSchedule().fail_bb_write(rank=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILT))
+def test_every_builder_fires_through_the_injector(kind):
+    sess, end, _ = _strike(BUILT[kind](_trigger("at")["at"]))
+    if kind == "net_drop":
+        assert isinstance(end, DrainError), end
+    else:
+        assert not isinstance(end, ManaError), end
+    recs = sess.rt.fault_records
+    assert kind in {r["kind"] for r in recs}
+    _assert_records(sess, [r["kind"] for r in recs])
+    spec = next(s for s in BUILT[kind](0.0).specs if s.kind == kind)
+    assert len([r for r in recs if r["kind"] == kind]) == (
+        spec.count if kind in ("crash_storm", "net_delay") else 1)
+
+
+@pytest.mark.parametrize("trigger", ["at", "at_event"])
+@pytest.mark.parametrize("kind", ["oob_delay", "net_delay"])
+def test_a_filter_matches_only_once_fired(kind, trigger):
+    when = _trigger(trigger)
+    spec = FaultSpec(kind=kind, delay=1e-3, count=3, **when)
+    sess, end, event_t = _strike(FaultSchedule([spec]),
+                                 watch_event=when.get("at_event"))
+    assert not isinstance(end, ManaError), end
+    recs = _assert_records(sess, [kind] * 3)
+    assert min(r["at"] for r in recs) >= when.get("at", event_t)
+    # with no trigger the same filter is live from arm() on
+    live, _, _ = _strike(FaultSchedule([FaultSpec(kind=kind, delay=1e-3,
+                                                  count=3)]))
+    assert live.rt.fault_records[0]["at"] < min(r["at"] for r in recs)

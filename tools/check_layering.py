@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layering lint: façades stay façades, mechanism stays below policy.
 
-Nine rules, all enforced by walking module ASTs:
+Ten rules, all enforced by walking module ASTs:
 
 1. ``src/repro/mana/wrappers.py`` routes every MPI entry point through
    the interposition pipeline (``repro/mana/pipeline/``).  Costing and
@@ -94,6 +94,17 @@ Nine rules, all enforced by walking module ASTs:
    caller would be a second copy of some algorithm's message pattern,
    which PT2PT_ALWAYS mode would then run instead of the lower half's.
 
+10. One fault engine.  Under ``src/repro/faults/``, only
+    ``injector.py`` fires faults: no other module calls ``.kill(``,
+    ``set_fault_filter``, ``drop_tier``, ``drop_node``,
+    ``corrupt_copy``, ``arm_manifest_tear`` or ``add_event_watch``, or
+    assigns ``bb_fault_hook``.  The scenarios and the chaos sweep
+    describe their faults as ``FaultSpec`` values (a virtual time
+    ``at`` or an event index ``at_event``) and hand them to the
+    injector; a second firing path would be a second copy of what a
+    kill, a storm or a lossy channel does, free to drift from the
+    first.
+
 Usage: python tools/check_layering.py  (exit 0 = clean, 1 = violation)
 """
 
@@ -161,6 +172,15 @@ UPPER_EXECUTOR_FN = "run_rounds"
 #: the upper half's message primitives only that executor may call
 INTERNAL_PT2PT = ("_internal_isend", "_internal_recv")
 MANA_DIR = "repro/mana"
+
+#: the fault policy layer and the one module of it that fires faults
+FAULTS_DIR = "repro/faults"
+INJECTOR = SRC / "repro" / "faults" / "injector.py"
+#: the mechanism hooks a fault is fired through: called ...
+FAULT_CALLS = ("kill", "set_fault_filter", "drop_tier", "drop_node",
+               "corrupt_copy", "arm_manifest_tear", "add_event_watch")
+#: ... or assigned
+FAULT_SOCKETS = ("bb_fault_hook",)
 
 
 def _imports(path: Path) -> List[Tuple[int, str, str]]:
@@ -462,11 +482,43 @@ def collective_violations() -> List[str]:
     return bad
 
 
+def fault_firings(path: Path) -> List[Tuple[int, str]]:
+    """Rule 10 on one file: (lineno, hook) of each call of a fault hook
+    and each assignment to a fault socket."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in FAULT_CALLS):
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            found.extend((t.lineno, t.attr) for target in targets
+                         for t in ast.walk(target)
+                         if isinstance(t, ast.Attribute)
+                         and t.attr in FAULT_SOCKETS)
+    return sorted(found)
+
+
+def fault_engine_violations() -> List[str]:
+    bad = []
+    for path in sorted((SRC / FAULTS_DIR).rglob("*.py")):
+        if path == INJECTOR:
+            continue
+        rel = path.relative_to(REPO)
+        bad.extend(f"{rel}:{lineno}: {hook} fires a fault outside "
+                   f"{INJECTOR.relative_to(REPO)} (describe it as a "
+                   f"FaultSpec and arm a FaultInjector)"
+                   for lineno, hook in fault_firings(path))
+    return bad
+
+
 def main() -> int:
     bad = (wrapper_violations() + faults_violations() + storage_violations()
            + des_violations() + ir_violations() + portable_violations()
            + campaign_violations() + campaign_reverse_violations()
-           + forwarding_violations() + collective_violations())
+           + forwarding_violations() + collective_violations()
+           + fault_engine_violations())
     if bad:
         for line in bad:
             print(line, file=sys.stderr)
@@ -486,7 +538,8 @@ def main() -> int:
             "and no MpiLibrary method ends in a forward to coll; "
             "collective algorithms live only in repro/simmpi/"
             "collectives.py, and only collective_impl.run_rounds calls "
-            "_internal_isend/_internal_recv",
+            "_internal_isend/_internal_recv; under repro/faults only "
+            "injector.py fires faults",
             file=sys.stderr,
         )
         return 1
@@ -499,7 +552,7 @@ def main() -> int:
           "only entry points and no lower layer imports it back; "
           "SemanticLowering and MpiLibrary have no forwarding generators; "
           "one copy of each collective algorithm, and one upper-half "
-          "executor")
+          "executor; one fault engine (repro/faults/injector.py)")
     return 0
 
 
