@@ -99,12 +99,13 @@ class FaultInjector:
                          epoch=spec.epoch, copies_dropped=dropped)
         elif kind == "node_loss":
             # the node's resident ranks crash exactly like kill_rank ...
-            node_of = self.rt.machine.node_of
-            ranks = [
-                m.rank for m in self.rt.ranks if node_of(m.rank) == spec.node
-                and self._kill_procs(m.rank, f"fault: node_loss {spec.node}")
-                is not None
-            ]
+            ranks: List[int] = []
+            for mrank in self.rt.ranks:
+                if (self.rt.machine.node_of(mrank.rank) == spec.node
+                        and self._kill_procs(mrank.rank,
+                                             f"fault: node_loss {spec.node}")
+                        is not None):
+                    ranks.append(mrank.rank)
             # ... and every checkpoint copy the node hosts dies with it
             dropped = self.rt.store.drop_node(spec.node)
             self._record(i, spec, node=spec.node, ranks=ranks,
@@ -143,11 +144,13 @@ class FaultInjector:
         mrank = self.rt.ranks[rank]
         if mrank.finalized:
             return None
-        return [label for label, proc in (("main", mrank.proc),
-                                          ("ckpt_thread", mrank.ckpt_proc),
-                                          ("heartbeat", mrank.hb_proc))
-                if proc is not None
-                and self.rt.sched.kill(proc, reason=reason)]
+        killed: List[str] = []
+        for label, proc in (("main", mrank.proc),
+                            ("ckpt_thread", mrank.ckpt_proc),
+                            ("heartbeat", mrank.hb_proc)):
+            if proc is not None and self.rt.sched.kill(proc, reason=reason):
+                killed.append(label)
+        return killed
 
     def _storm_kill(self, i: int, spec: FaultSpec, j: int) -> None:
         victim = ((spec.rank or 0) + j) % self.rt.nranks
