@@ -82,9 +82,8 @@ def run_cell(kind: str, params: dict, attempt: int = 0) -> dict:
 
 
 # ----------------------------------------------------------------------
-# the two reference runs of the fault/storage/availability sweeps'
-# token-ring job (repro.faults.token_ring_job, as the fault and storage
-# benches run it)
+# the two reference runs of the token-ring job the fault, storage and
+# availability sweeps strike (repro.faults.token_ring_job)
 # ----------------------------------------------------------------------
 
 @reference.reference_run
